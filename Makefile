@@ -6,11 +6,14 @@ GO ?= go
 
 all: build test
 
-# The single verification entrypoint: vet, build, and race-enabled tests.
+# The single verification entrypoint: vet, build, and race-enabled tests,
+# then vet and tests of the nested perfbench module, which ./... does not
+# enter.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Static analysis: vet always; staticcheck when installed (CI installs it).
 lint:

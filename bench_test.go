@@ -243,10 +243,10 @@ func BenchmarkPredictSingle(b *testing.B) {
 	h := c.Filtered.Histories()[len(c.Filtered.Histories())/2]
 	w := timeline.Window{Span: timeline.NewSpan(c.Filtered.Span().End-7, c.Filtered.Span().End)}
 	or := c.Detector.OrEnsemble()
+	verdict := make([]bool, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx := predict.NewContext(c.Filtered, h.Field, w)
-		or.Predict(ctx)
+		or.PredictWindows(predict.OneWindow(c.Filtered, h.Field, w.Span), verdict)
 	}
 }
 

@@ -86,12 +86,17 @@ func main() {
 	}
 
 	window := timeline.Window{Span: timeline.NewSpan(censusDay-3, censusDay+4)}
-	ctx := predict.NewContext(observed, fields[0].asOf, window)
-	if predictor.Predict(ctx) {
+	// One question, one window: the evidence kernel fills the verdict row
+	// and reports every correlated partner that changed.
+	var partners []correlation.FiredRule
+	verdict := make([]bool, 1)
+	predictor.Evidence(predict.OneWindow(observed, fields[0].asOf, window.Span), verdict,
+		func(r correlation.FiredRule) { partners = append(partners, r) })
+	if verdict[0] {
 		fmt.Printf("\nLondon: pop_est_as_of should have changed in %v\n", window.Span)
-		for _, partner := range predictor.Explain(ctx) {
+		for _, r := range partners {
 			fmt.Printf("  evidence: correlated field %q changed\n",
-				cube.Properties.Name(int32(partner.Property)))
+				cube.Properties.Name(int32(r.Partner.Property)))
 		}
 		fmt.Println("  -> this value might be out of date (Figure 1 marker)")
 	} else {
@@ -99,8 +104,7 @@ func main() {
 	}
 
 	// The mayor field is uncorrelated; the census must not implicate it.
-	mayorCtx := predict.NewContext(observed,
-		changecube.FieldKey{Entity: fields[0].est.Entity, Property: mayor}, window)
-	fmt.Printf("\nmayor flagged: %v (should be false — unrelated field)\n",
-		predictor.Predict(mayorCtx))
+	mayorField := changecube.FieldKey{Entity: fields[0].est.Entity, Property: mayor}
+	predictor.PredictWindows(predict.OneWindow(observed, mayorField, window.Span), verdict)
+	fmt.Printf("\nmayor flagged: %v (should be false — unrelated field)\n", verdict[0])
 }

@@ -83,13 +83,18 @@ func main() {
 
 	window := timeline.Window{Span: timeline.NewSpan(matchDay-1, matchDay+2)}
 	target := changecube.FieldKey{Entity: fresh, Property: goals}
-	ctx := predict.NewContext(observed, target, window)
-	if predictor.Predict(ctx) {
+	// One question, one window: the evidence kernel fills the verdict row
+	// and reports every rule whose antecedent changed.
+	var fired []assocrules.Rule
+	verdict := make([]bool, 1)
+	predictor.Evidence(predict.OneWindow(observed, target, window.Span), verdict,
+		func(r assocrules.Rule) { fired = append(fired, r) })
+	if verdict[0] {
 		fmt.Printf("\n%q: goals_scored should have changed in %v\n",
 			"2018-19 Handball-Bundesliga", window.Span)
-		for _, ante := range predictor.Explain(ctx) {
+		for _, r := range fired {
 			fmt.Printf("  evidence: %s changed in the same window\n",
-				cube.Properties.Name(int32(ante)))
+				cube.Properties.Name(int32(r.Antecedent)))
 		}
 		fmt.Println("  -> the goals tally is likely STALE; flag it for editors")
 	} else {
@@ -99,9 +104,10 @@ func main() {
 	// The reverse question: matches on a day when only goals were
 	// corrected. The asymmetric rule must stay silent.
 	solo := timeline.Window{Span: timeline.NewSpan(matchDay+5, matchDay+8)}
-	rev := predict.NewContext(observed, changecube.FieldKey{Entity: fresh, Property: matches}, solo)
+	rev := predict.OneWindow(observed, changecube.FieldKey{Entity: fresh, Property: matches}, solo.Span)
+	predictor.PredictWindows(rev, verdict)
 	fmt.Printf("\nreverse direction fires: %v (should be false — goals do not imply matches)\n",
-		predictor.Predict(rev))
+		verdict[0])
 }
 
 func dedup(days []timeline.Day) []timeline.Day {

@@ -160,18 +160,11 @@ type templateProperty struct {
 
 // Predictor holds the validated rules, indexed by (template, consequent).
 type Predictor struct {
-	rules       []Rule
-	antecedents map[templateProperty][]changecube.PropertyID
-	// byConsequent carries the full rules per (template, consequent) so the
-	// explain path can report support/confidence evidence; parallel to
-	// antecedents (same keys, same order).
+	rules        []Rule
 	byConsequent map[templateProperty][]Rule
 }
 
-var (
-	_ predict.Predictor      = (*Predictor)(nil)
-	_ predict.BatchPredictor = (*Predictor)(nil)
-)
+var _ predict.Predictor = (*Predictor)(nil)
 
 // Train mines and validates association rules on the change days inside
 // span.
@@ -293,19 +286,17 @@ func trainTagged(tagged map[changecube.TemplateID][]taggedTxn, span timeline.Spa
 	return buildPredictor(validateRules(candidates, validation, cfg)), nil
 }
 
-// buildPredictor sorts the rules and builds the consequent indexes — the
+// buildPredictor sorts the rules and builds the consequent index — the
 // shared tail of trainTagged and FromRules, so both produce identical
 // predictors from identical rule sets. It takes ownership of rules.
 func buildPredictor(rules []Rule) *Predictor {
 	p := &Predictor{
 		rules:        rules,
-		antecedents:  make(map[templateProperty][]changecube.PropertyID, len(rules)),
 		byConsequent: make(map[templateProperty][]Rule, len(rules)),
 	}
 	sort.Slice(p.rules, func(i, j int) bool { return ruleLess(p.rules[i], p.rules[j]) })
 	for _, r := range p.rules {
 		key := templateProperty{template: r.Template, property: r.Consequent}
-		p.antecedents[key] = append(p.antecedents[key], r.Antecedent)
 		p.byConsequent[key] = append(p.byConsequent[key], r)
 	}
 	return p
@@ -531,74 +522,34 @@ func (p *Predictor) CoveredPages(cube *changecube.Cube) int {
 	return len(pages)
 }
 
-// Predict implements predict.Predictor: the target property Y of an entity
-// with template T should have changed if some rule X → Y of T has its
-// antecedent X changed on the same entity within the window.
-func (p *Predictor) Predict(ctx predict.Context) bool {
-	target := ctx.Target()
-	template := ctx.Cube().Template(target.Entity)
-	key := templateProperty{template: template, property: target.Property}
-	for _, ante := range p.antecedents[key] {
-		f := changecube.FieldKey{Entity: target.Entity, Property: ante}
-		if ctx.FieldChangedIn(f, ctx.Window().Span) {
-			return true
-		}
-	}
-	return false
-}
-
-// PredictWindows implements predict.BatchPredictor: out[i] is true when
-// some rule X → target of the entity's template has its antecedent X
-// changed on the same entity inside window i.
-func (p *Predictor) PredictWindows(b predict.Batch, out []bool) {
-	for i := range out {
-		out[i] = false
-	}
+// Evidence is the predictor's firing rule, stated once: the target
+// property Y of an entity with template T should have changed in window i
+// of b if some rule X → Y of T has its antecedent X changed on the same
+// entity in that window. It fills out with that verdict per window and,
+// when fired is non-nil, calls it for every rule whose antecedent changed
+// in some window of b, with the rule's mining support/confidence and
+// validation precision as evidence.
+func (p *Predictor) Evidence(b predict.Batch, out []bool, fired func(Rule)) {
+	clear(out)
 	target := b.Target()
-	template := b.Cube().Template(target.Entity)
-	key := templateProperty{template: template, property: target.Property}
-	for _, ante := range p.antecedents[key] {
-		f := changecube.FieldKey{Entity: target.Entity, Property: ante}
+	rules := p.byConsequent[templateProperty{template: b.Cube().Template(target.Entity), property: target.Property}]
+	for k := range rules {
+		hit := false
+		f := changecube.FieldKey{Entity: target.Entity, Property: rules[k].Antecedent}
 		for i, changed := range b.FieldChanged(f) {
 			if changed {
-				out[i] = true
+				out[i], hit = true, true
 			}
 		}
+		if hit && fired != nil {
+			fired(rules[k])
+		}
 	}
 }
 
-// Explain returns the antecedent properties that changed in the window for
-// a positive prediction, nil otherwise.
-func (p *Predictor) Explain(ctx predict.Context) []changecube.PropertyID {
-	target := ctx.Target()
-	template := ctx.Cube().Template(target.Entity)
-	key := templateProperty{template: template, property: target.Property}
-	var out []changecube.PropertyID
-	for _, ante := range p.antecedents[key] {
-		f := changecube.FieldKey{Entity: target.Entity, Property: ante}
-		if ctx.FieldChangedIn(f, ctx.Window().Span) {
-			out = append(out, ante)
-		}
-	}
-	return out
-}
-
-// ExplainRules is Explain with the rule evidence attached: every rule
-// X → target of the entity's template whose antecedent X changed in the
-// window, with its mining support/confidence and validation precision.
-// Its non-emptiness is exactly Predict's verdict.
-func (p *Predictor) ExplainRules(ctx predict.Context) []Rule {
-	target := ctx.Target()
-	template := ctx.Cube().Template(target.Entity)
-	key := templateProperty{template: template, property: target.Property}
-	var fired []Rule
-	for _, r := range p.byConsequent[key] {
-		f := changecube.FieldKey{Entity: target.Entity, Property: r.Antecedent}
-		if ctx.FieldChangedIn(f, ctx.Window().Span) {
-			fired = append(fired, r)
-		}
-	}
-	return fired
+// PredictWindows implements predict.Predictor through Evidence.
+func (p *Predictor) PredictWindows(b predict.Batch, out []bool) {
+	p.Evidence(b, out, nil)
 }
 
 // FromRules reconstructs a predictor from previously validated rules — the

@@ -137,6 +137,14 @@ func TestValidationDiscardsDecoupledRule(t *testing.T) {
 	}
 }
 
+// fires asks p the one-window question: should target have changed in
+// span?
+func fires(p predict.Predictor, hs *changecube.HistorySet, target changecube.FieldKey, span timeline.Span) bool {
+	verdict := make([]bool, 1)
+	p.PredictWindows(predict.OneWindow(hs, target, span), verdict)
+	return verdict[0]
+}
+
 func TestPredictViaRule(t *testing.T) {
 	hs, span, props := leagueCorpus(t, 10)
 	p, err := Train(hs, span, Default())
@@ -146,23 +154,24 @@ func TestPredictViaRule(t *testing.T) {
 	// Week 96 ≡ 0 mod 4: matches changed on day 96*7+1 = 673. Predicting
 	// total_goals in the window [672, 679) must fire via the rule.
 	target := changecube.FieldKey{Entity: 0, Property: props["total_goals"]}
-	w := timeline.Window{Span: timeline.NewSpan(672, 679)}
-	ctx := predict.NewContext(hs, target, w)
-	if !p.Predict(ctx) {
+	w := timeline.NewSpan(672, 679)
+	var fired []Rule
+	verdict := make([]bool, 1)
+	p.Evidence(predict.OneWindow(hs, target, w), verdict, func(r Rule) { fired = append(fired, r) })
+	if !verdict[0] {
 		t.Fatal("rule did not fire on antecedent change")
 	}
-	if got := p.Explain(ctx); len(got) != 1 || got[0] != props["matches"] {
-		t.Fatalf("Explain = %v", got)
+	if len(fired) != 1 || fired[0].Antecedent != props["matches"] {
+		t.Fatalf("Evidence = %v", fired)
 	}
 	// Week 97 is odd: goals change alone (hidden from the predictor as the
 	// target) and no antecedent changed, so no prediction fires.
-	wOdd := timeline.Window{Span: timeline.NewSpan(679, 686)}
-	if p.Predict(predict.NewContext(hs, target, wOdd)) {
+	if fires(p, hs, target, timeline.NewSpan(679, 686)) {
 		t.Fatal("rule fired without antecedent change")
 	}
 	// matches itself is not a consequent of any rule: never predicted.
 	tm := changecube.FieldKey{Entity: 0, Property: props["matches"]}
-	if p.Predict(predict.NewContext(hs, tm, w)) {
+	if fires(p, hs, tm, w) {
 		t.Fatal("prediction for a property with no rule")
 	}
 }
@@ -188,8 +197,7 @@ func TestRuleAppliesToUnseenEntityOfSameTemplate(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := changecube.FieldKey{Entity: fresh, Property: props["total_goals"]}
-	w := timeline.Window{Span: timeline.NewSpan(698, 705)}
-	if !p.Predict(predict.NewContext(observed, target, w)) {
+	if !fires(p, observed, target, timeline.NewSpan(698, 705)) {
 		t.Fatal("template rule did not transfer to unseen entity")
 	}
 }

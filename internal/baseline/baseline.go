@@ -20,83 +20,36 @@ import (
 // estimate always uses all changes before the window start.
 type Mean struct{}
 
-var (
-	_ predict.Predictor      = Mean{}
-	_ predict.BatchPredictor = Mean{}
-)
+var _ predict.Predictor = Mean{}
 
 // Name implements predict.Predictor.
 func (Mean) Name() string { return "mean baseline" }
 
-// meanNext extrapolates the field's next change from its changes before
-// the window start: with mean gap n, the next changes are scheduled at
-// last + n, last + 2n, ...; the first one at or after the window start is
-// the prediction. ok is false when the history is too short or degenerate
-// to extrapolate from.
-func meanNext(days []timeline.Day, w timeline.Window) (next, gap float64, ok bool) {
-	if len(days) < 2 {
-		return 0, 0, false
-	}
-	last := float64(days[len(days)-1])
-	n := (float64(days[len(days)-1]) - float64(days[0])) / float64(len(days)-1)
-	if n <= 0 {
-		return 0, 0, false
-	}
-	// Smallest k >= 1 with last + k*n >= w.Start.
-	k := math.Ceil((float64(w.Start) - last) / n)
-	if k < 1 {
-		k = 1
-	}
-	return last + k*n, n, true
-}
-
-// meanFires is the shared prediction rule: fire when the extrapolated next
-// change day falls inside the window.
-func meanFires(days []timeline.Day, w timeline.Window) bool {
-	next, _, ok := meanNext(days, w)
-	return ok && next < float64(w.End)
-}
-
-// Predict implements predict.Predictor.
-func (Mean) Predict(ctx predict.Context) bool {
-	return meanFires(ctx.TargetDays(), ctx.Window())
-}
-
-// PredictWindows implements predict.BatchPredictor: the per-window target
-// prefixes come from the batch's single-merge precomputation instead of
-// one binary search per window.
+// PredictWindows implements predict.Predictor. For window i it
+// extrapolates the field's next change from its changes before the window
+// start: with mean gap n, the next changes are scheduled at last + n,
+// last + 2n, ...; the window fires when the first of them at or after its
+// start falls inside it. A history too short or degenerate to extrapolate
+// from never fires. The per-window target prefixes come from the batch.
 func (Mean) PredictWindows(b predict.Batch, out []bool) {
-	windows := b.Windows()
 	for i := range out {
-		out[i] = meanFires(b.TargetDaysBefore(i), windows[i])
+		days, w := b.TargetDaysBefore(i), b.Window(i)
+		out[i] = false
+		if len(days) < 2 {
+			continue
+		}
+		last := float64(days[len(days)-1])
+		n := (last - float64(days[0])) / float64(len(days)-1)
+		if n <= 0 {
+			continue
+		}
+		// Smallest k >= 1 with last + k*n >= w.Start.
+		k := math.Ceil((float64(w.Start) - last) / n)
+		if k < 1 {
+			k = 1
+		}
+		out[i] = last+k*n < float64(w.End)
 	}
-}
-
-// MeanEvidence is the mean baseline's explanation: the extrapolation that
-// did (or did not) land inside the window.
-type MeanEvidence struct {
-	// NextDay is the first extrapolated change day at or after the window
-	// start; MeanGapDays the mean inter-change gap it was scheduled with.
-	NextDay     float64
-	MeanGapDays float64
-	// Fired reports whether NextDay fell inside the window — the Predict
-	// verdict.
-	Fired bool
-}
-
-// Explain returns the extrapolation evidence behind Predict's verdict, and
-// ok=false when the target's visible history is too short to extrapolate
-// (in which case Predict is false).
-func (Mean) Explain(ctx predict.Context) (MeanEvidence, bool) {
-	next, gap, ok := meanNext(ctx.TargetDays(), ctx.Window())
-	if !ok {
-		return MeanEvidence{}, false
-	}
-	return MeanEvidence{
-		NextDay:     next,
-		MeanGapDays: gap,
-		Fired:       next < float64(ctx.Window().End),
-	}, true
 }
 
 // Threshold is the threshold baseline. For every window size it remembers
@@ -104,15 +57,11 @@ func (Mean) Explain(ctx predict.Context) (MeanEvidence, bool) {
 // of that size and predicts a change in every test window for exactly
 // those fields.
 type Threshold struct {
-	fraction float64
 	// always[size] holds the fields predicted for every window of size.
 	always map[int]map[changecube.FieldKey]bool
 }
 
-var (
-	_ predict.Predictor      = (*Threshold)(nil)
-	_ predict.BatchPredictor = (*Threshold)(nil)
-)
+var _ predict.Predictor = (*Threshold)(nil)
 
 // TrainThreshold scans the validation span once per window size. The paper
 // uses fraction = 0.85 (the precision target) and the 365-day validation
@@ -122,10 +71,7 @@ func TrainThreshold(hs *changecube.HistorySet, valSpan timeline.Span, sizes []in
 	if fraction <= 0 || fraction > 1 {
 		return nil, fmt.Errorf("baseline: fraction %v out of (0,1]", fraction)
 	}
-	t := &Threshold{
-		fraction: fraction,
-		always:   make(map[int]map[changecube.FieldKey]bool, len(sizes)),
-	}
+	t := &Threshold{always: make(map[int]map[changecube.FieldKey]bool, len(sizes))}
 	for _, size := range sizes {
 		windows := timeline.Tumbling(valSpan, size)
 		need := int(math.Ceil(fraction * float64(len(windows))))
@@ -154,34 +100,13 @@ func TrainThreshold(hs *changecube.HistorySet, valSpan timeline.Span, sizes []in
 // Name implements predict.Predictor.
 func (t *Threshold) Name() string { return "threshold baseline" }
 
-// Predict implements predict.Predictor.
-func (t *Threshold) Predict(ctx predict.Context) bool {
-	set, ok := t.always[ctx.Window().Size()]
-	if !ok {
-		return false
-	}
-	return set[ctx.Target()]
-}
-
-// PredictWindows implements predict.BatchPredictor: one set lookup decides
-// every window of the size at once.
+// PredictWindows implements predict.Predictor: one set lookup decides
+// every window of the size at once; a size never trained never fires.
 func (t *Threshold) PredictWindows(b predict.Batch, out []bool) {
-	set, ok := t.always[b.WindowSize()]
-	v := ok && set[b.Target()]
+	v := t.always[b.WindowSize()][b.Target()]
 	for i := range out {
 		out[i] = v
 	}
-}
-
-// Explain reports whether the target is in the always-predict set for the
-// window's size — which is the whole of the threshold baseline's evidence —
-// and whether the size was trained at all.
-func (t *Threshold) Explain(ctx predict.Context) (inSet, sizeKnown bool) {
-	set, ok := t.always[ctx.Window().Size()]
-	if !ok {
-		return false, false
-	}
-	return set[ctx.Target()], true
 }
 
 // AlwaysPredicted returns how many fields are unconditionally predicted at

@@ -21,6 +21,13 @@ func singleFieldSet(t *testing.T, days ...timeline.Day) (*changecube.HistorySet,
 	return hs, f
 }
 
+// fires asks p the one-window question: should target have changed in w?
+func fires(p predict.Predictor, hs *changecube.HistorySet, target changecube.FieldKey, w timeline.Window) bool {
+	verdict := make([]bool, 1)
+	p.PredictWindows(predict.OneWindow(hs, target, w.Span), verdict)
+	return verdict[0]
+}
+
 func TestMeanPredictsRegularField(t *testing.T) {
 	// Changes every 10 days: 0, 10, ..., 100. Mean gap 10; last visible
 	// change before window [105, 112) is 100; next expected 110 ∈ window.
@@ -30,12 +37,12 @@ func TestMeanPredictsRegularField(t *testing.T) {
 	}
 	hs, f := singleFieldSet(t, days...)
 	w := timeline.Window{Span: timeline.NewSpan(105, 112)}
-	if !(Mean{}).Predict(predict.NewContext(hs, f, w)) {
+	if !fires(Mean{}, hs, f, w) {
 		t.Fatal("mean baseline missed the periodic change")
 	}
 	// Window [101, 105): next expected change is 110, outside.
 	w2 := timeline.Window{Span: timeline.NewSpan(101, 105)}
-	if (Mean{}).Predict(predict.NewContext(hs, f, w2)) {
+	if fires(Mean{}, hs, f, w2) {
 		t.Fatal("mean baseline fired early")
 	}
 }
@@ -50,10 +57,10 @@ func TestMeanCatchesUpWhenOverdue(t *testing.T) {
 		days = append(days, d)
 	}
 	hs, f := singleFieldSet(t, days...)
-	if !(Mean{}).Predict(predict.NewContext(hs, f, timeline.Window{Span: timeline.NewSpan(125, 135)})) {
+	if !fires(Mean{}, hs, f, timeline.Window{Span: timeline.NewSpan(125, 135)}) {
 		t.Fatal("overdue extrapolation missed")
 	}
-	if (Mean{}).Predict(predict.NewContext(hs, f, timeline.Window{Span: timeline.NewSpan(135, 140)})) {
+	if fires(Mean{}, hs, f, timeline.Window{Span: timeline.NewSpan(135, 140)}) {
 		t.Fatal("extrapolation grid misaligned")
 	}
 }
@@ -61,7 +68,7 @@ func TestMeanCatchesUpWhenOverdue(t *testing.T) {
 func TestMeanNeedsTwoChanges(t *testing.T) {
 	hs, f := singleFieldSet(t, 5)
 	w := timeline.Window{Span: timeline.NewSpan(6, 100)}
-	if (Mean{}).Predict(predict.NewContext(hs, f, w)) {
+	if fires(Mean{}, hs, f, w) {
 		t.Fatal("mean baseline predicted with a single change")
 	}
 }
@@ -71,7 +78,7 @@ func TestMeanIgnoresHiddenWindowChanges(t *testing.T) {
 	// visible; mean gap 10, next 30, window [24,28) -> no prediction.
 	hs, f := singleFieldSet(t, 0, 10, 20, 25)
 	w := timeline.Window{Span: timeline.NewSpan(24, 28)}
-	if (Mean{}).Predict(predict.NewContext(hs, f, w)) {
+	if fires(Mean{}, hs, f, w) {
 		t.Fatal("hidden in-window change leaked into the mean")
 	}
 }
@@ -80,7 +87,7 @@ func TestMeanLargeWindowCoversNext(t *testing.T) {
 	hs, f := singleFieldSet(t, 0, 100)
 	// Mean gap 100, next change 200; yearly window [150, 515) contains it.
 	w := timeline.Window{Span: timeline.NewSpan(150, 515)}
-	if !(Mean{}).Predict(predict.NewContext(hs, f, w)) {
+	if !fires(Mean{}, hs, f, w) {
 		t.Fatal("yearly window missed extrapolated change")
 	}
 }
@@ -115,7 +122,7 @@ func TestThresholdTrainsPerSize(t *testing.T) {
 	// Daily field: predicted at every size.
 	for _, size := range timeline.StandardSizes {
 		w := timeline.Window{Span: timeline.NewSpan(400, 400+timeline.Day(size))}
-		got := th.Predict(predict.NewContext(hs, fd, w))
+		got := fires(th, hs, fd, w)
 		if !got {
 			t.Errorf("daily field not predicted at size %d", size)
 		}
@@ -124,7 +131,7 @@ func TestThresholdTrainsPerSize(t *testing.T) {
 	// 30-day (100%) and 365-day (100%).
 	for size, want := range map[int]bool{1: false, 7: false, 30: true, 365: true} {
 		w := timeline.Window{Span: timeline.NewSpan(400, 400+timeline.Day(size))}
-		if got := th.Predict(predict.NewContext(hs, fs, w)); got != want {
+		if got := fires(th, hs, fs, w); got != want {
 			t.Errorf("sparse field at size %d = %v, want %v", size, got, want)
 		}
 	}
@@ -140,7 +147,7 @@ func TestThresholdUnknownSizeNeverPredicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := timeline.Window{Span: timeline.NewSpan(20, 27)} // size 7, untrained
-	if th.Predict(predict.NewContext(hs, f, w)) {
+	if fires(th, hs, f, w) {
 		t.Fatal("untrained size predicted")
 	}
 }
@@ -173,12 +180,12 @@ func TestForecastPredictsFrequentField(t *testing.T) {
 	}
 	hs, f := singleFieldSet(t, days...)
 	w := timeline.Window{Span: timeline.NewSpan(100, 107)}
-	if !(DefaultForecast()).Predict(predict.NewContext(hs, f, w)) {
+	if !fires(DefaultForecast(), hs, f, w) {
 		t.Fatal("frequent field not predicted for a weekly window")
 	}
 	// Daily window: p = 1-e^{-0.5} ≈ 0.39 < 0.5 -> not predicted.
 	w1 := timeline.Window{Span: timeline.NewSpan(100, 101)}
-	if (DefaultForecast()).Predict(predict.NewContext(hs, f, w1)) {
+	if fires(DefaultForecast(), hs, f, w1) {
 		t.Fatal("frequent field predicted for a daily window")
 	}
 }
@@ -187,12 +194,12 @@ func TestForecastIgnoresSparseField(t *testing.T) {
 	// Mean gap ~200 days: a weekly window has p ≈ 0.034.
 	hs, f := singleFieldSet(t, 0, 200, 400, 600, 800)
 	w := timeline.Window{Span: timeline.NewSpan(810, 817)}
-	if (DefaultForecast()).Predict(predict.NewContext(hs, f, w)) {
+	if fires(DefaultForecast(), hs, f, w) {
 		t.Fatal("sparse field predicted")
 	}
 	// But the yearly window clears the threshold: p = 1-e^{-365/200} ≈ 0.84.
 	wy := timeline.Window{Span: timeline.NewSpan(810, 810+365)}
-	if !(DefaultForecast()).Predict(predict.NewContext(hs, f, wy)) {
+	if !fires(DefaultForecast(), hs, f, wy) {
 		t.Fatal("yearly window not predicted despite p > threshold")
 	}
 }
@@ -207,7 +214,7 @@ func TestForecastRecencyWeighting(t *testing.T) {
 	}
 	hs, f := singleFieldSet(t, days...)
 	w := timeline.Window{Span: timeline.NewSpan(320, 327)}
-	if !(DefaultForecast()).Predict(predict.NewContext(hs, f, w)) {
+	if !fires(DefaultForecast(), hs, f, w) {
 		t.Fatal("recent burst not reflected in the rate")
 	}
 }
@@ -215,7 +222,7 @@ func TestForecastRecencyWeighting(t *testing.T) {
 func TestForecastNeedsHistory(t *testing.T) {
 	hs, f := singleFieldSet(t, 5)
 	w := timeline.Window{Span: timeline.NewSpan(6, 100)}
-	if (DefaultForecast()).Predict(predict.NewContext(hs, f, w)) {
+	if fires(DefaultForecast(), hs, f, w) {
 		t.Fatal("single-change field predicted")
 	}
 }

@@ -28,10 +28,7 @@ type Forecast struct {
 	Threshold float64
 }
 
-var (
-	_ predict.Predictor      = Forecast{}
-	_ predict.BatchPredictor = Forecast{}
-)
+var _ predict.Predictor = Forecast{}
 
 // DefaultForecast returns a conventional smoothing configuration.
 func DefaultForecast() Forecast {
@@ -52,17 +49,12 @@ func (f Forecast) Validate() error {
 // Name implements predict.Predictor.
 func (Forecast) Name() string { return "forecast baseline" }
 
-// Predict implements predict.Predictor. The rate estimate uses only the
-// target's changes before the window start; the elapsed quiet time since
-// the last change decays nothing — a constant-rate (exponential
-// inter-arrival) model, which is exactly the assumption irregular
-// Wikipedia histories break.
-func (f Forecast) Predict(ctx predict.Context) bool {
-	return f.fires(ctx.TargetDays(), ctx.Window().Size())
-}
-
-// PredictWindows implements predict.BatchPredictor over the per-window
-// target prefixes the batch precomputes with a single merge.
+// PredictWindows implements predict.Predictor over the per-window target
+// prefixes the batch precomputes with a single merge. The rate estimate
+// uses only the target's changes before the window start; the elapsed
+// quiet time since the last change decays nothing — a constant-rate
+// (exponential inter-arrival) model, which is exactly the assumption
+// irregular Wikipedia histories break.
 func (f Forecast) PredictWindows(b predict.Batch, out []bool) {
 	size := b.WindowSize()
 	for i := range out {

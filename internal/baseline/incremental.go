@@ -61,10 +61,7 @@ func TrainThresholdIncremental(hs *changecube.HistorySet, valSpan timeline.Span,
 		return t, ThresholdIncrementalStats{Full: true, FullReason: reason}, nil
 	}
 
-	t := &Threshold{
-		fraction: fraction,
-		always:   make(map[int]map[changecube.FieldKey]bool, len(sizes)),
-	}
+	t := &Threshold{always: make(map[int]map[changecube.FieldKey]bool, len(sizes))}
 	stats := ThresholdIncrementalStats{}
 	for _, size := range sizes {
 		prevSet := prev.Predictor.always[size]

@@ -73,7 +73,7 @@ type Explanation struct {
 // field DetectStale(asOf, windowSize) reports, Explain returns Stale=true
 // with non-empty evidence, and for any field it does not, Stale=false.
 func (d *Detector) Explain(field changecube.FieldKey, asOf timeline.Day, windowSize int) Explanation {
-	w := timeline.Window{Span: timeline.NewSpan(asOf-timeline.Day(windowSize), asOf)}
+	w := scanWindow(asOf, windowSize)
 	ex := Explanation{Field: field, Window: w}
 	if windowSize <= 0 {
 		return ex
@@ -82,11 +82,9 @@ func (d *Detector) Explain(field changecube.FieldKey, asOf timeline.Day, windowS
 		ex.ChangedInWindow = h.ChangedIn(w.Span)
 	}
 
-	ctx := predict.NewContext(d.histories, field, w)
+	corr, rules := d.evidence(field, w)
 	cube := d.histories.Cube()
-	var partners []changecube.FieldKey
-	for _, fr := range d.fieldCorr.ExplainRules(ctx) {
-		partners = append(partners, fr.Partner)
+	for _, fr := range corr {
 		ex.Correlations = append(ex.Correlations, CorrelationEvidence{
 			PartnerPage:     cube.Pages.Name(int32(cube.Page(fr.Partner.Entity))),
 			PartnerProperty: cube.Properties.Name(int32(fr.Partner.Property)),
@@ -94,9 +92,7 @@ func (d *Detector) Explain(field changecube.FieldKey, asOf timeline.Day, windowS
 			Theta:           d.cfg.Correlation.Theta,
 		})
 	}
-	var antes []changecube.PropertyID
-	for _, r := range d.assocRules.ExplainRules(ctx) {
-		antes = append(antes, r.Antecedent)
+	for _, r := range rules {
 		ex.Rules = append(ex.Rules, RuleEvidence{
 			Template:            cube.Templates.Name(int32(r.Template)),
 			Antecedent:          cube.Properties.Name(int32(r.Antecedent)),
@@ -107,37 +103,28 @@ func (d *Detector) Explain(field changecube.FieldKey, asOf timeline.Day, windowS
 			ValidationFires:     r.Fires,
 		})
 	}
-	for _, p := range d.Predictors() {
-		ex.Votes = append(ex.Votes, Vote{Predictor: p.Name(), Fired: p.Predict(ctx)})
-	}
-
-	ex.Stale = !ex.ChangedInWindow && (len(ex.Correlations) > 0 || len(ex.Rules) > 0)
-	if len(partners) > 0 {
-		ex.Summary = d.explainCorrelation(partners)
-	}
-	if len(antes) > 0 {
-		if ex.Summary != "" {
-			ex.Summary += "; "
-		}
-		ex.Summary += d.explainRule(field, antes)
-	}
+	ex.Votes = d.Votes(field, asOf, windowSize)
+	ex.Stale = !ex.ChangedInWindow && (len(corr) > 0 || len(rules) > 0)
+	ex.Summary = d.summary(field, corr, rules)
 	return ex
 }
 
 // Votes returns every Table-1 predictor's verdict on (field, window)
 // without resolving evidence to names — the cheap subset of Explain the
 // quality scorer uses to attribute each alert to the detector families
-// whose votes fired for it. Identical to Explain's Votes list: same
-// predictors, same order, same verdicts.
+// whose votes fired for it. Each verdict is the predictor's PredictWindows
+// on the one-window batch of the question.
 func (d *Detector) Votes(field changecube.FieldKey, asOf timeline.Day, windowSize int) []Vote {
 	if windowSize <= 0 {
 		return nil
 	}
-	w := timeline.Window{Span: timeline.NewSpan(asOf-timeline.Day(windowSize), asOf)}
-	ctx := predict.NewContext(d.histories, field, w)
-	votes := make([]Vote, 0, 6)
-	for _, p := range d.Predictors() {
-		votes = append(votes, Vote{Predictor: p.Name(), Fired: p.Predict(ctx)})
+	b := predict.OneWindow(d.histories, field, scanWindow(asOf, windowSize).Span)
+	row := make([]bool, 1)
+	predictors := d.Predictors()
+	votes := make([]Vote, len(predictors))
+	for i, p := range predictors {
+		p.PredictWindows(b, row)
+		votes[i] = Vote{Predictor: p.Name(), Fired: row[0]}
 	}
 	return votes
 }

@@ -21,7 +21,7 @@ func containsStr(xs []string, s string) bool {
 // verdict, evidence, and summary agree with DetectStale for every flagged
 // field, Explain reports not-stale for unflagged fields, and every
 // predictor's vote (the four Table-1 predictors plus both ensembles)
-// matches a direct Predict call.
+// matches its tumbling-window row.
 func TestExplainMatchesDetectStale(t *testing.T) {
 	det, _ := detector(t)
 	asOf := det.Histories().Span().End
@@ -87,11 +87,13 @@ func TestExplainMatchesDetectStale(t *testing.T) {
 }
 
 // checkVotes asserts the Votes slice mirrors Predictors() order and each
-// predictor's actual verdict on the same (field, window) context.
+// predictor's verdict on the same (field, window) asked as the last of
+// three tumbling windows ending at asOf.
 func checkVotes(t *testing.T, det *Detector, field changecube.FieldKey, asOf timeline.Day, window int, ex Explanation) {
 	t.Helper()
-	w := timeline.Window{Span: timeline.NewSpan(asOf-timeline.Day(window), asOf)}
-	ctx := predict.NewContext(det.Histories(), field, w)
+	split := timeline.NewSpan(asOf-3*timeline.Day(window), asOf)
+	b := predict.NewWindowSet(det.Histories(), split, window, nil).For(field)
+	row := make([]bool, b.NumWindows())
 	preds := det.Predictors()
 	if len(ex.Votes) != len(preds) {
 		t.Fatalf("field %v: %d votes, want %d", field, len(ex.Votes), len(preds))
@@ -100,8 +102,9 @@ func checkVotes(t *testing.T, det *Detector, field changecube.FieldKey, asOf tim
 		if ex.Votes[i].Predictor != p.Name() {
 			t.Fatalf("field %v vote %d: predictor %q, want %q", field, i, ex.Votes[i].Predictor, p.Name())
 		}
-		if ex.Votes[i].Fired != p.Predict(ctx) {
-			t.Fatalf("field %v: vote for %q = %v disagrees with Predict", field, p.Name(), ex.Votes[i].Fired)
+		p.PredictWindows(b, row)
+		if ex.Votes[i].Fired != row[2] {
+			t.Fatalf("field %v: vote for %q = %v disagrees with the tumbling-window row", field, p.Name(), ex.Votes[i].Fired)
 		}
 	}
 }

@@ -124,10 +124,7 @@ type partnerRule struct {
 	distance float64
 }
 
-var (
-	_ predict.Predictor      = (*Predictor)(nil)
-	_ predict.BatchPredictor = (*Predictor)(nil)
-)
+var _ predict.Predictor = (*Predictor)(nil)
 
 // Distance computes the normalized Manhattan distance between two change
 // histories over the training span. Change vectors are binary per day
@@ -493,46 +490,6 @@ func (p *Predictor) Covers(f changecube.FieldKey) bool {
 	return len(p.partners[f]) > 0
 }
 
-// Predict implements predict.Predictor: the target should have changed in
-// the window if any correlated partner changed in it.
-func (p *Predictor) Predict(ctx predict.Context) bool {
-	for _, pr := range p.partners[ctx.Target()] {
-		if ctx.FieldChangedIn(pr.field, ctx.Window().Span) {
-			return true
-		}
-	}
-	return false
-}
-
-// PredictWindows implements predict.BatchPredictor: out[i] is true when
-// any correlated partner changed in window i. Each partner costs one
-// cached row lookup instead of one binary search per window.
-func (p *Predictor) PredictWindows(b predict.Batch, out []bool) {
-	for i := range out {
-		out[i] = false
-	}
-	for _, pr := range p.partners[b.Target()] {
-		for i, changed := range b.FieldChanged(pr.field) {
-			if changed {
-				out[i] = true
-			}
-		}
-	}
-}
-
-// Explain returns the partners that changed in the window — the paper's
-// inherent explanation for a positive prediction. It returns nil when the
-// prediction is negative.
-func (p *Predictor) Explain(ctx predict.Context) []changecube.FieldKey {
-	var changed []changecube.FieldKey
-	for _, pr := range p.partners[ctx.Target()] {
-		if ctx.FieldChangedIn(pr.field, ctx.Window().Span) {
-			changed = append(changed, pr.field)
-		}
-	}
-	return changed
-}
-
 // FiredRule is one correlation rule that fired for a prediction: the
 // partner that changed in the window, with the learned distance it cleared
 // θ by.
@@ -541,17 +498,29 @@ type FiredRule struct {
 	Distance float64
 }
 
-// ExplainRules is Explain with the rule evidence attached: every partner
-// that changed in the window together with its learned distance. Its
-// non-emptiness is exactly Predict's verdict.
-func (p *Predictor) ExplainRules(ctx predict.Context) []FiredRule {
-	var fired []FiredRule
-	for _, pr := range p.partners[ctx.Target()] {
-		if ctx.FieldChangedIn(pr.field, ctx.Window().Span) {
-			fired = append(fired, FiredRule{Partner: pr.field, Distance: pr.distance})
+// Evidence is the predictor's firing rule, stated once: the target should
+// have changed in window i of b if a correlated partner changed in it. It
+// fills out with that verdict per window and, when fired is non-nil, calls
+// it for every rule whose partner changed in some window of b — the
+// paper's inherent explanation. Each partner costs one row lookup.
+func (p *Predictor) Evidence(b predict.Batch, out []bool, fired func(FiredRule)) {
+	clear(out)
+	for _, pr := range p.partners[b.Target()] {
+		hit := false
+		for i, changed := range b.FieldChanged(pr.field) {
+			if changed {
+				out[i], hit = true, true
+			}
+		}
+		if hit && fired != nil {
+			fired(FiredRule{Partner: pr.field, Distance: pr.distance})
 		}
 	}
-	return fired
+}
+
+// PredictWindows implements predict.Predictor through Evidence.
+func (p *Predictor) PredictWindows(b predict.Batch, out []bool) {
+	p.Evidence(b, out, nil)
 }
 
 // FromRules reconstructs a predictor from previously learned rules — the

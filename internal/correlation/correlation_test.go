@@ -192,6 +192,14 @@ func TestMaxFieldsPerPageSkipsLargePages(t *testing.T) {
 	}
 }
 
+// fires asks p the one-window question: should target have changed in
+// span?
+func fires(p predict.Predictor, hs *changecube.HistorySet, target changecube.FieldKey, span timeline.Span) bool {
+	verdict := make([]bool, 1)
+	p.PredictWindows(predict.OneWindow(hs, target, span), verdict)
+	return verdict[0]
+}
+
 func TestPredictFiresOnPartnerChange(t *testing.T) {
 	hs, fields := corpus(t)
 	span := timeline.NewSpan(0, 2000)
@@ -201,21 +209,22 @@ func TestPredictFiresOnPartnerChange(t *testing.T) {
 	}
 	// Window containing away's change at day 740. Target home: the partner
 	// changed -> prediction fires.
-	w := timeline.Window{Span: timeline.NewSpan(738, 745)}
-	ctx := predict.NewContext(hs, fields["home"], w)
-	if !p.Predict(ctx) {
+	w := timeline.NewSpan(738, 745)
+	var fired []FiredRule
+	verdict := make([]bool, 1)
+	p.Evidence(predict.OneWindow(hs, fields["home"], w), verdict, func(r FiredRule) { fired = append(fired, r) })
+	if !verdict[0] {
 		t.Fatal("prediction missed partner change")
 	}
-	if got := p.Explain(ctx); len(got) != 1 || got[0] != fields["away"] {
-		t.Fatalf("Explain = %v", got)
+	if len(fired) != 1 || fired[0].Partner != fields["away"] {
+		t.Fatalf("Evidence = %v", fired)
 	}
 	// Quiet window: no partner change, no prediction.
-	wq := timeline.Window{Span: timeline.NewSpan(100, 107)}
-	if p.Predict(predict.NewContext(hs, fields["home"], wq)) {
+	if fires(p, hs, fields["home"], timeline.NewSpan(100, 107)) {
 		t.Fatal("prediction fired in quiet window")
 	}
 	// Uncovered field never predicts.
-	if p.Predict(predict.NewContext(hs, fields["random"], w)) {
+	if fires(p, hs, fields["random"], w) {
 		t.Fatal("uncovered field predicted")
 	}
 }
@@ -229,9 +238,7 @@ func TestPredictDoesNotSeeTargetOwnChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := timeline.Window{Span: timeline.NewSpan(738, 745)}
-	ctx := predict.NewContext(hs, fields["away"], w)
-	if !p.Predict(ctx) {
+	if !fires(p, hs, fields["away"], timeline.NewSpan(738, 745)) {
 		t.Fatal("away should be predicted via home")
 	}
 }

@@ -8,19 +8,11 @@ import (
 	"github.com/wikistale/wikistale/internal/timeline"
 )
 
-// evenWindows is a batch-capable member predicting exactly the
-// even-indexed windows on both paths.
-type evenWindows struct{}
-
-func (evenWindows) Name() string { return "even" }
-func (evenWindows) Predict(ctx predict.Context) bool {
-	return ctx.Window().Index%2 == 0
-}
-func (evenWindows) PredictWindows(b predict.Batch, out []bool) {
-	for i := range out {
-		out[i] = i%2 == 0
-	}
-}
+// evenWeeks predicts exactly the windows that start in an even week, so
+// its verdict depends on the window, not on how the batch is laid out.
+var evenWeeks = predict.Func{PredictorName: "even", Fn: func(b predict.Batch, i int) bool {
+	return b.Window(i).Start/7%2 == 0
+}}
 
 func batchSet(t *testing.T) (*changecube.HistorySet, changecube.FieldKey) {
 	t.Helper()
@@ -36,31 +28,34 @@ func batchSet(t *testing.T) (*changecube.HistorySet, changecube.FieldKey) {
 	return hs, f
 }
 
-// TestEnsemblePredictWindowsMatchesScalar mixes batch-capable and
-// scalar-only members, including a nested ensemble, and checks the batch
-// row of every combination against the per-window scalar path.
+// TestEnsemblePredictWindowsMatchesScalar mixes constant and
+// window-dependent members, including nested ensembles, and checks the
+// row of every combination over tumbling windows (combined through
+// scratch rows) against its one-window questions (combined in place).
 func TestEnsemblePredictWindowsMatchesScalar(t *testing.T) {
 	hs, f := batchSet(t)
 	ws := predict.NewWindowSet(hs, timeline.NewSpan(0, 28), 7, nil)
 	b := ws.For(f)
 	members := [][]predict.Predictor{
 		{},
-		{evenWindows{}},
+		{evenWeeks},
 		{constant("t", true), constant("f", false)},
-		{evenWindows{}, constant("f", false)},
-		{constant("f", false), evenWindows{}, constant("t", true)},
-		{And{Members: []predict.Predictor{evenWindows{}, constant("t", true)}}, evenWindows{}},
+		{evenWeeks, constant("f", false)},
+		{constant("f", false), evenWeeks, constant("t", true)},
+		{And{Members: []predict.Predictor{evenWeeks, constant("t", true)}}, evenWeeks},
+		{evenWeeks, Or{Members: []predict.Predictor{constant("f", false), evenWeeks}}},
+		{constant("t", true), Or{Members: []predict.Predictor{evenWeeks, constant("f", false)}}},
 	}
 	for _, ms := range members {
 		for _, p := range []predict.Predictor{Or{Members: ms}, And{Members: ms}} {
-			batch := make([]bool, b.NumWindows())
-			scalar := make([]bool, b.NumWindows())
-			p.(predict.BatchPredictor).PredictWindows(b, batch)
-			predict.ScalarPredictWindows(p, b, scalar)
-			for i := range batch {
-				if batch[i] != scalar[i] {
-					t.Fatalf("%s with %d members, window %d: batch %v != scalar %v",
-						p.Name(), len(ms), i, batch[i], scalar[i])
+			row := make([]bool, b.NumWindows())
+			p.PredictWindows(b, row)
+			one := make([]bool, 1)
+			for i := range row {
+				p.PredictWindows(predict.OneWindow(hs, f, b.Window(i).Span), one)
+				if row[i] != one[0] {
+					t.Fatalf("%s with %d members, window %d: row %v != one-window %v",
+						p.Name(), len(ms), i, row[i], one[0])
 				}
 			}
 		}

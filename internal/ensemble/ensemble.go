@@ -6,7 +6,6 @@
 package ensemble
 
 import (
-	"fmt"
 	"strings"
 
 	"github.com/wikistale/wikistale/internal/predict"
@@ -19,10 +18,7 @@ type Or struct {
 	Label string
 }
 
-var (
-	_ predict.Predictor      = Or{}
-	_ predict.BatchPredictor = Or{}
-)
+var _ predict.Predictor = Or{}
 
 // Name implements predict.Predictor.
 func (o Or) Name() string {
@@ -32,39 +28,10 @@ func (o Or) Name() string {
 	return "OR(" + memberNames(o.Members) + ")"
 }
 
-// Predict implements predict.Predictor.
-func (o Or) Predict(ctx predict.Context) bool {
-	for _, m := range o.Members {
-		if m.Predict(ctx) {
-			return true
-		}
-	}
-	return false
-}
-
-// PredictWindows implements predict.BatchPredictor by combining member
-// rows directly: members with a batch path contribute a whole row at once,
-// members without one fall back to per-window scalar prediction.
+// PredictWindows implements predict.Predictor: out[i] is true when any
+// member's row is true at i; an empty Or never predicts.
 func (o Or) PredictWindows(b predict.Batch, out []bool) {
-	if len(o.Members) == 0 {
-		for i := range out {
-			out[i] = false
-		}
-		return
-	}
-	predict.MemberPredictWindows(o.Members[0], b, out)
-	if len(o.Members) == 1 {
-		return
-	}
-	buf := make([]bool, len(out))
-	for _, m := range o.Members[1:] {
-		predict.MemberPredictWindows(m, b, buf)
-		for i, v := range buf {
-			if v {
-				out[i] = true
-			}
-		}
-	}
+	combine(o.Members, b, out, true)
 }
 
 // And predicts a change only when every member predicts one. An empty And
@@ -74,10 +41,7 @@ type And struct {
 	Label   string
 }
 
-var (
-	_ predict.Predictor      = And{}
-	_ predict.BatchPredictor = And{}
-)
+var _ predict.Predictor = And{}
 
 // Name implements predict.Predictor.
 func (a And) Name() string {
@@ -87,68 +51,46 @@ func (a And) Name() string {
 	return "AND(" + memberNames(a.Members) + ")"
 }
 
-// Predict implements predict.Predictor.
-func (a And) Predict(ctx predict.Context) bool {
-	if len(a.Members) == 0 {
-		return false
-	}
-	for _, m := range a.Members {
-		if !m.Predict(ctx) {
-			return false
-		}
-	}
-	return true
+// PredictWindows implements predict.Predictor: out[i] is true when every
+// member's row is true at i; an empty And never predicts.
+func (a And) PredictWindows(b predict.Batch, out []bool) {
+	combine(a.Members, b, out, false)
 }
 
-// PredictWindows implements predict.BatchPredictor; an empty And yields an
-// all-false row, matching Predict's no-evidence convention.
-func (a And) PredictWindows(b predict.Batch, out []bool) {
-	if len(a.Members) == 0 {
-		for i := range out {
-			out[i] = false
+// combine folds the members' rows into out, where decided is the value
+// that settles a window once any member yields it: true for OR, false for
+// AND. The first member writes out directly. With a single window the
+// later members do too, and only while out[0] is undecided — the short
+// circuit of a scalar || or &&. With more windows each later member's row
+// goes through a scratch row the batch lends.
+func combine(members []predict.Predictor, b predict.Batch, out []bool, decided bool) {
+	if len(members) == 0 {
+		clear(out)
+		return
+	}
+	members[0].PredictWindows(b, out)
+	if len(out) == 1 {
+		for _, m := range members[1:] {
+			if out[0] == decided {
+				return
+			}
+			m.PredictWindows(b, out)
 		}
 		return
 	}
-	predict.MemberPredictWindows(a.Members[0], b, out)
-	if len(a.Members) == 1 {
+	if len(members) == 1 {
 		return
 	}
-	buf := make([]bool, len(out))
-	for _, m := range a.Members[1:] {
-		predict.MemberPredictWindows(m, b, buf)
-		for i, v := range buf {
-			if !v {
-				out[i] = false
+	row := b.Scratch()
+	defer b.Release()
+	for _, m := range members[1:] {
+		m.PredictWindows(b, row)
+		for i, v := range row {
+			if v == decided {
+				out[i] = decided
 			}
 		}
 	}
-}
-
-// Vote is one member's verdict in an ensemble decision.
-type Vote struct {
-	Member string `json:"member"`
-	Fired  bool   `json:"fired"`
-}
-
-// Votes returns every member's verdict for the context, in member order.
-// The OR verdict is true iff any vote fired.
-func (o Or) Votes(ctx predict.Context) []Vote {
-	return memberVotes(o.Members, ctx)
-}
-
-// Votes returns every member's verdict for the context, in member order.
-// The AND verdict is true iff the member list is non-empty and every vote
-// fired.
-func (a And) Votes(ctx predict.Context) []Vote {
-	return memberVotes(a.Members, ctx)
-}
-
-func memberVotes(ms []predict.Predictor, ctx predict.Context) []Vote {
-	votes := make([]Vote, len(ms))
-	for i, m := range ms {
-		votes[i] = Vote{Member: m.Name(), Fired: m.Predict(ctx)}
-	}
-	return votes
 }
 
 func memberNames(ms []predict.Predictor) string {
@@ -166,13 +108,4 @@ func Paper(fieldCorr, assocRules predict.Predictor) (and And, or Or) {
 	members := []predict.Predictor{fieldCorr, assocRules}
 	return And{Members: members, Label: "AND-ensemble"},
 		Or{Members: members, Label: "OR-ensemble"}
-}
-
-// Validate checks that an ensemble has at least two members — anything
-// less is a misconfiguration worth surfacing early.
-func Validate(members []predict.Predictor) error {
-	if len(members) < 2 {
-		return fmt.Errorf("ensemble: need at least 2 members, got %d", len(members))
-	}
-	return nil
 }

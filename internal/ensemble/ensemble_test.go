@@ -8,7 +8,15 @@ import (
 )
 
 func constant(name string, v bool) predict.Predictor {
-	return predict.Func{PredictorName: name, Fn: func(predict.Context) bool { return v }}
+	return predict.Func{PredictorName: name, Fn: func(predict.Batch, int) bool { return v }}
+}
+
+// verdict asks p a one-window question its members answer without
+// consulting the batch.
+func verdict(p predict.Predictor) bool {
+	out := []bool{false}
+	p.PredictWindows(predict.Batch{}, out)
+	return out[0]
 }
 
 func TestTruthTables(t *testing.T) {
@@ -21,13 +29,12 @@ func TestTruthTables(t *testing.T) {
 		{true, false, false, true},
 		{true, true, true, true},
 	}
-	var ctx predict.Context
 	for _, c := range cases {
 		members := []predict.Predictor{constant("a", c.a), constant("b", c.b)}
-		if got := (And{Members: members}).Predict(ctx); got != c.and {
+		if got := verdict(And{Members: members}); got != c.and {
 			t.Errorf("AND(%v,%v) = %v", c.a, c.b, got)
 		}
-		if got := (Or{Members: members}).Predict(ctx); got != c.or {
+		if got := verdict(Or{Members: members}); got != c.or {
 			t.Errorf("OR(%v,%v) = %v", c.a, c.b, got)
 		}
 	}
@@ -44,9 +51,8 @@ func TestAlgebra(t *testing.T) {
 		for i, v := range outcomes {
 			members[i] = constant("m", v)
 		}
-		var ctx predict.Context
-		and := And{Members: members}.Predict(ctx)
-		or := Or{Members: members}.Predict(ctx)
+		and := verdict(And{Members: members})
+		or := verdict(Or{Members: members})
 		for _, v := range outcomes {
 			if and && !v {
 				return false // AND ⊆ member
@@ -63,11 +69,10 @@ func TestAlgebra(t *testing.T) {
 }
 
 func TestEmptyEnsembles(t *testing.T) {
-	var ctx predict.Context
-	if (And{}).Predict(ctx) {
+	if verdict(And{}) {
 		t.Fatal("empty AND predicted")
 	}
-	if (Or{}).Predict(ctx) {
+	if verdict(Or{}) {
 		t.Fatal("empty OR predicted")
 	}
 }
@@ -90,34 +95,24 @@ func TestPaperEnsembles(t *testing.T) {
 	if and.Name() != "AND-ensemble" || or.Name() != "OR-ensemble" {
 		t.Fatalf("labels: %q %q", and.Name(), or.Name())
 	}
-	var ctx predict.Context
-	if and.Predict(ctx) || !or.Predict(ctx) {
+	if verdict(and) || !verdict(or) {
 		t.Fatal("paper ensembles miswired")
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := Validate([]predict.Predictor{constant("a", true)}); err == nil {
-		t.Fatal("single-member ensemble accepted")
-	}
-	if err := Validate([]predict.Predictor{constant("a", true), constant("b", true)}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShortCircuit: OR stops at the first true, AND at the first false.
+// TestShortCircuit: on a one-window question OR stops at the first true,
+// AND at the first false.
 func TestShortCircuit(t *testing.T) {
 	calls := 0
-	counting := predict.Func{PredictorName: "count", Fn: func(predict.Context) bool {
+	counting := predict.Func{PredictorName: "count", Fn: func(predict.Batch, int) bool {
 		calls++
 		return true
 	}}
-	var ctx predict.Context
-	Or{Members: []predict.Predictor{constant("t", true), counting}}.Predict(ctx)
+	verdict(Or{Members: []predict.Predictor{constant("t", true), counting}})
 	if calls != 0 {
 		t.Fatal("OR did not short-circuit")
 	}
-	And{Members: []predict.Predictor{constant("f", false), counting}}.Predict(ctx)
+	verdict(And{Members: []predict.Predictor{constant("f", false), counting}})
 	if calls != 0 {
 		t.Fatal("AND did not short-circuit")
 	}

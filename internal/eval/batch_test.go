@@ -16,7 +16,7 @@ import (
 
 func TestEvaluateRejectsPerWindowSizesOutsideSizes(t *testing.T) {
 	hs, _, _ := twoFieldSet(t)
-	p := predict.Func{PredictorName: "p", Fn: func(predict.Context) bool { return false }}
+	p := predict.Func{PredictorName: "p", Fn: func(predict.Batch, int) bool { return false }}
 	split := timeline.NewSpan(0, 30)
 	if _, err := Evaluate(hs, split, []predict.Predictor{p},
 		Options{Sizes: []int{1}, OverTimeSize: 7}); err == nil {
@@ -39,8 +39,8 @@ func TestEvaluateRejectsPerWindowSizesOutsideSizes(t *testing.T) {
 
 func TestEvaluateRejectsSelfOverlapPair(t *testing.T) {
 	hs, _, _ := twoFieldSet(t)
-	p := predict.Func{PredictorName: "p", Fn: func(predict.Context) bool { return false }}
-	q := predict.Func{PredictorName: "q", Fn: func(predict.Context) bool { return false }}
+	p := predict.Func{PredictorName: "p", Fn: func(predict.Batch, int) bool { return false }}
+	q := predict.Func{PredictorName: "q", Fn: func(predict.Batch, int) bool { return false }}
 	if _, err := Evaluate(hs, timeline.NewSpan(0, 10), []predict.Predictor{p, q},
 		Options{Sizes: []int{1}, OverlapPairs: [][2]int{{1, 1}}}); err == nil {
 		t.Error("self overlap pair accepted")
@@ -49,7 +49,7 @@ func TestEvaluateRejectsSelfOverlapPair(t *testing.T) {
 
 func TestEvaluateRejectsMismatchedRows(t *testing.T) {
 	hs, _, _ := twoFieldSet(t)
-	p := predict.Func{PredictorName: "p", Fn: func(predict.Context) bool { return false }}
+	p := predict.Func{PredictorName: "p", Fn: func(predict.Batch, int) bool { return false }}
 	split := timeline.NewSpan(0, 20)
 	other := predict.PrecomputeRows(hs, timeline.NewSpan(0, 10), []int{1})
 	if _, err := Evaluate(hs, split, []predict.Predictor{p},
@@ -57,38 +57,6 @@ func TestEvaluateRejectsMismatchedRows(t *testing.T) {
 		t.Error("Rows precomputed for a different split accepted")
 	}
 }
-
-// contrary deliberately disagrees between its scalar and batch paths so a
-// test can prove which one the harness ran.
-type contrary struct{}
-
-func (contrary) Name() string                 { return "contrary" }
-func (contrary) Predict(predict.Context) bool { return false }
-func (contrary) PredictWindows(b predict.Batch, out []bool) {
-	for i := range out {
-		out[i] = true
-	}
-}
-
-func TestEvaluateUsesBatchPath(t *testing.T) {
-	hs, _, _ := twoFieldSet(t)
-	report, err := Evaluate(hs, timeline.NewSpan(0, 10), []predict.Predictor{contrary{}},
-		Options{Sizes: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := report.BySize["contrary"][1]
-	// The batch path predicts every window; the scalar path would predict
-	// none. 2 fields x 10 windows.
-	if c.Predictions() != 20 {
-		t.Fatalf("predictions = %d; batch fast path not taken", c.Predictions())
-	}
-}
-
-// scalarOnly hides a predictor's PredictWindows method: the embedded
-// interface only promotes Name and Predict, so the harness must fall back
-// to the scalar Context path.
-type scalarOnly struct{ predict.Predictor }
 
 // richSet generates a seeded corpus large enough to train real predictors:
 // pages of four fields where fields 0 and 1 co-change (the signal the
@@ -154,17 +122,13 @@ func paperPredictors(t *testing.T, hs *changecube.HistorySet) []predict.Predicto
 	}
 }
 
-// TestEvaluateBatchScalarParity is the PR's determinism contract: the
-// batch fast path, the scalar fallback, shared precomputed rows and any
-// worker count must all produce the same report, bit for bit.
+// TestEvaluateBatchScalarParity is the evaluation's determinism contract:
+// shared precomputed rows and any worker count must all produce the same
+// report, bit for bit.
 func TestEvaluateBatchScalarParity(t *testing.T) {
 	hs := richSet(t)
 	split := timeline.NewSpan(120, 240)
 	predictors := paperPredictors(t, hs)
-	scalars := make([]predict.Predictor, len(predictors))
-	for i, p := range predictors {
-		scalars[i] = scalarOnly{p}
-	}
 	opts := Options{
 		Sizes:          []int{1, 7, 30},
 		OverTimeSize:   7,
@@ -184,27 +148,23 @@ func TestEvaluateBatchScalarParity(t *testing.T) {
 
 	batchN := opts
 	batchN.Workers = 8
-	scalar1 := opts
-	scalar1.Workers = 1
 	withRows := opts
 	withRows.Workers = 4
 	withRows.Rows = predict.PrecomputeRows(hs, split, opts.Sizes)
 	runs := []struct {
-		name       string
-		predictors []predict.Predictor
-		opts       Options
+		name string
+		opts Options
 	}{
-		{"batch workers=8", predictors, batchN},
-		{"scalar workers=1", scalars, scalar1},
-		{"batch shared rows workers=4", predictors, withRows},
+		{"workers=8", batchN},
+		{"shared rows workers=4", withRows},
 	}
 	for _, run := range runs {
-		got, err := Evaluate(hs, split, run.predictors, run.opts)
+		got, err := Evaluate(hs, split, predictors, run.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", run.name, err)
 		}
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("%s: report differs from batch workers=1 reference", run.name)
+			t.Errorf("%s: report differs from the workers=1 reference", run.name)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func OverlapKey(a, b string, size int) string {
 // Evaluate runs every predictor over every field and window of the split.
 // The observed set plays two roles, exactly as in the paper: it is the
 // leakage-controlled evidence predictors may consult (enforced by
-// predict.Context), and its histories are the ground truth.
+// predict.Batch), and its histories are the ground truth.
 func Evaluate(observed *changecube.HistorySet, split timeline.Span, predictors []predict.Predictor, opts Options) (*Report, error) {
 	if len(predictors) == 0 {
 		return nil, fmt.Errorf("eval: no predictors")
@@ -299,20 +299,11 @@ func containsSize(sizes []int, s int) bool {
 // evalChunk scores one worker's share of the fields. For each window size
 // it builds a predict.WindowSet (per-window change rows, one sorted merge
 // per field) and asks every predictor for a whole row of predictions at
-// once: the batch fast path when the predictor implements
-// predict.BatchPredictor, the scalar Context path per window otherwise.
-// Both paths answer the identical question, so reports do not depend on
-// which path ran.
+// once.
 func evalChunk(part *Report, observed *changecube.HistorySet, chunk []changecube.History,
 	predictors []predict.Predictor, names []string, sizes []int, opts Options) {
 
 	cube := observed.Cube()
-	batchers := make([]predict.BatchPredictor, len(predictors))
-	for i, p := range predictors {
-		if bp, ok := p.(predict.BatchPredictor); ok {
-			batchers[i] = bp
-		}
-	}
 	rows := make([][]bool, len(predictors))
 	for _, size := range sizes {
 		ws := predict.NewWindowSet(observed, part.Split, size, opts.Rows)
@@ -331,11 +322,7 @@ func evalChunk(part *Report, observed *changecube.HistorySet, chunk []changecube
 			batch := ws.For(h.Field)
 			for i, p := range predictors {
 				row := rows[i]
-				if batchers[i] != nil {
-					batchers[i].PredictWindows(batch, row)
-				} else {
-					predict.ScalarPredictWindows(p, batch, row)
-				}
+				p.PredictWindows(batch, row)
 				var c Counts
 				if collectOverTime {
 					series := part.OverTime[names[i]]

@@ -66,12 +66,12 @@ func TestEvaluatePerfectAndNeverPredictors(t *testing.T) {
 	split := timeline.NewSpan(0, 20)
 	// The oracle cheats by reading the ground truth directly — it measures
 	// the harness, not a real predictor.
-	oracle := predict.Func{PredictorName: "oracle", Fn: func(ctx predict.Context) bool {
-		h, _ := hs.Get(ctx.Target())
-		return h.ChangedIn(ctx.Window().Span)
+	oracle := predict.Func{PredictorName: "oracle", Fn: func(b predict.Batch, i int) bool {
+		h, _ := hs.Get(b.Target())
+		return h.ChangedIn(b.Window(i).Span)
 	}}
-	never := predict.Func{PredictorName: "never", Fn: func(predict.Context) bool { return false }}
-	always := predict.Func{PredictorName: "always", Fn: func(predict.Context) bool { return true }}
+	never := predict.Func{PredictorName: "never", Fn: func(predict.Batch, int) bool { return false }}
+	always := predict.Func{PredictorName: "always", Fn: func(predict.Batch, int) bool { return true }}
 
 	report, err := Evaluate(hs, split, []predict.Predictor{oracle, never, always}, Options{Sizes: []int{1, 7}})
 	if err != nil {
@@ -108,7 +108,7 @@ func TestEvaluatePerfectAndNeverPredictors(t *testing.T) {
 func TestEvaluateOverTime(t *testing.T) {
 	hs, _, _ := twoFieldSet(t)
 	split := timeline.NewSpan(0, 21)
-	always := predict.Func{PredictorName: "always", Fn: func(predict.Context) bool { return true }}
+	always := predict.Func{PredictorName: "always", Fn: func(predict.Batch, int) bool { return true }}
 	report, err := Evaluate(hs, split, []predict.Predictor{always},
 		Options{Sizes: []int{7}, OverTimeSize: 7})
 	if err != nil {
@@ -139,10 +139,10 @@ func TestEvaluateOverTime(t *testing.T) {
 func TestEvaluateOverlap(t *testing.T) {
 	hs, steady, _ := twoFieldSet(t)
 	split := timeline.NewSpan(0, 10)
-	onlySteady := predict.Func{PredictorName: "steady-only", Fn: func(ctx predict.Context) bool {
-		return ctx.Target() == steady
+	onlySteady := predict.Func{PredictorName: "steady-only", Fn: func(b predict.Batch, _ int) bool {
+		return b.Target() == steady
 	}}
-	always := predict.Func{PredictorName: "always", Fn: func(predict.Context) bool { return true }}
+	always := predict.Func{PredictorName: "always", Fn: func(predict.Batch, int) bool { return true }}
 	report, err := Evaluate(hs, split, []predict.Predictor{onlySteady, always},
 		Options{Sizes: []int{1}, OverlapPairs: [][2]int{{0, 1}}})
 	if err != nil {
@@ -160,11 +160,12 @@ func TestEvaluateOverlap(t *testing.T) {
 
 func TestEvaluateLeakageDiscipline(t *testing.T) {
 	// A cheating predictor that tries to read the target's change inside
-	// the window through the context must see nothing.
+	// the window through the batch must see nothing.
 	hs, steady, _ := twoFieldSet(t)
 	split := timeline.NewSpan(10, 20)
-	cheat := predict.Func{PredictorName: "cheat", Fn: func(ctx predict.Context) bool {
-		return ctx.FieldChangedIn(ctx.Target(), ctx.Window().Span)
+	cheat := predict.Func{PredictorName: "cheat", Fn: func(b predict.Batch, i int) bool {
+		days := b.TargetDaysBefore(i)
+		return b.FieldChanged(b.Target())[i] || len(days) > 0 && days[len(days)-1] >= b.Window(i).Start
 	}}
 	report, err := Evaluate(hs, split, []predict.Predictor{cheat}, Options{Sizes: []int{1}})
 	if err != nil {
@@ -179,7 +180,7 @@ func TestEvaluateLeakageDiscipline(t *testing.T) {
 
 func TestEvaluateValidation(t *testing.T) {
 	hs, _, _ := twoFieldSet(t)
-	p := predict.Func{PredictorName: "p", Fn: func(predict.Context) bool { return false }}
+	p := predict.Func{PredictorName: "p", Fn: func(predict.Batch, int) bool { return false }}
 	if _, err := Evaluate(hs, timeline.NewSpan(0, 10), nil, Options{}); err == nil {
 		t.Error("no predictors accepted")
 	}
@@ -201,7 +202,7 @@ func TestEvaluateValidation(t *testing.T) {
 func TestEvaluateParallelDeterministic(t *testing.T) {
 	hs, _, _ := twoFieldSet(t)
 	split := timeline.NewSpan(0, 50)
-	always := predict.Func{PredictorName: "always", Fn: func(predict.Context) bool { return true }}
+	always := predict.Func{PredictorName: "always", Fn: func(predict.Batch, int) bool { return true }}
 	seq, err := Evaluate(hs, split, []predict.Predictor{always}, Options{Sizes: []int{1, 7}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +224,7 @@ func TestPaperWindowArithmetic(t *testing.T) {
 	// four standard sizes.
 	hs, _, _ := twoFieldSet(t)
 	split := timeline.NewSpan(0, 365)
-	always := predict.Func{PredictorName: "always", Fn: func(predict.Context) bool { return true }}
+	always := predict.Func{PredictorName: "always", Fn: func(predict.Batch, int) bool { return true }}
 	report, err := Evaluate(hs, split, []predict.Predictor{always}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestEvaluateByTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	always := predict.Func{PredictorName: "always", Fn: func(predict.Context) bool { return true }}
+	always := predict.Func{PredictorName: "always", Fn: func(predict.Batch, int) bool { return true }}
 	report, err := Evaluate(hs, timeline.NewSpan(0, 28), []predict.Predictor{always},
 		Options{Sizes: []int{1}, ByTemplateSize: 1})
 	if err != nil {

@@ -224,43 +224,36 @@ func (p *Predictor) NumRules() int { return len(p.rules) }
 // Families returns the number of multi-member families indexed.
 func (p *Predictor) Families() int { return len(p.members) }
 
-// Predict implements predict.Predictor: the target property of a family
-// page should have changed when a partner property changed on the same
-// page within the window. The family is only the rule-learning scope —
-// evidence stays page-local, exactly as template-level association rules
-// learn across infoboxes but fire on same-infobox evidence. This is what
-// lets the rule fire on a page created after training: the new season's
-// page carries its own evidence.
-func (p *Predictor) Predict(ctx predict.Context) bool {
-	return len(p.explain(ctx, true)) > 0
-}
-
-// Explain returns the partner properties whose changes justify a positive
-// prediction.
-func (p *Predictor) Explain(ctx predict.Context) []changecube.PropertyID {
-	return p.explain(ctx, false)
-}
-
-func (p *Predictor) explain(ctx predict.Context, firstOnly bool) []changecube.PropertyID {
-	cube := ctx.Cube()
-	target := ctx.Target()
+// Evidence is the predictor's firing rule, stated once: the target
+// property of a family page should have changed in window i of b when a
+// partner property changed on the same page in that window. The family is
+// only the rule-learning scope — evidence stays page-local, exactly as
+// template-level association rules learn across infoboxes but fire on
+// same-infobox evidence. This is what lets the rule fire on a page created
+// after training: the new season's page carries its own evidence. Evidence
+// fills out with the verdict per window and, when fired is non-nil, calls
+// it with every partner property that changed in some window of b.
+func (p *Predictor) Evidence(b predict.Batch, out []bool, fired func(changecube.PropertyID)) {
+	clear(out)
+	cube := b.Cube()
+	target := b.Target()
 	fam := pagefamily.Normalize(cube.Pages.Name(int32(cube.Page(target.Entity))))
-	key := familyProperty{family: fam, property: target.Property}
-	partnerProps := p.partners[key]
-	if len(partnerProps) == 0 {
-		return nil
-	}
-	var out []changecube.PropertyID
-	for _, prop := range partnerProps {
-		f := changecube.FieldKey{Entity: target.Entity, Property: prop}
-		if ctx.FieldChangedIn(f, ctx.Window().Span) {
-			out = append(out, prop)
-			if firstOnly {
-				return out
+	for _, prop := range p.partners[familyProperty{family: fam, property: target.Property}] {
+		hit := false
+		for i, changed := range b.FieldChanged(changecube.FieldKey{Entity: target.Entity, Property: prop}) {
+			if changed {
+				out[i], hit = true, true
 			}
 		}
+		if hit && fired != nil {
+			fired(prop)
+		}
 	}
-	return out
+}
+
+// PredictWindows implements predict.Predictor through Evidence.
+func (p *Predictor) PredictWindows(b predict.Batch, out []bool) {
+	p.Evidence(b, out, nil)
 }
 
 // FromRules reconstructs a predictor from previously learned family rules

@@ -96,18 +96,21 @@ func TestRuleTransfersToNewSeasonPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := timeline.Window{Span: timeline.NewSpan(day-1, day+2)}
+	w := timeline.NewSpan(day-1, day+2)
 	target := changecube.FieldKey{Entity: fresh, Property: props["standings"]}
-	ctx := predict.NewContext(observed, target, w)
-	if !p.Predict(ctx) {
+	var fired []changecube.PropertyID
+	verdict := make([]bool, 1)
+	p.Evidence(predict.OneWindow(observed, target, w), verdict, func(prop changecube.PropertyID) { fired = append(fired, prop) })
+	if !verdict[0] {
 		t.Fatal("family rule did not transfer to the new season page")
 	}
-	if got := p.Explain(ctx); len(got) != 1 || got[0] != props["roster"] {
-		t.Fatalf("Explain = %v", got)
+	if len(fired) != 1 || fired[0] != props["roster"] {
+		t.Fatalf("Evidence = %v", fired)
 	}
 	// An unrelated property on the fresh page stays silent.
 	noiseTarget := changecube.FieldKey{Entity: fresh, Property: props["noise"]}
-	if p.Predict(predict.NewContext(observed, noiseTarget, w)) {
+	p.PredictWindows(predict.OneWindow(observed, noiseTarget, w), verdict)
+	if verdict[0] {
 		t.Fatal("noise property predicted")
 	}
 }
@@ -124,9 +127,9 @@ func TestNoCrossFamilyLeakage(t *testing.T) {
 	// impossible here since both share days, so instead check rule scoping
 	// directly: the partner sets are per (family, property).
 	handball := changecube.FieldKey{Entity: entities[0], Property: props["standings"]}
-	w := timeline.Window{Span: timeline.NewSpan(29, 32)}
-	ctx := predict.NewContext(hs, handball, w)
-	if !p.Predict(ctx) {
+	verdict := make([]bool, 1)
+	p.PredictWindows(predict.OneWindow(hs, handball, timeline.NewSpan(29, 32)), verdict)
+	if !verdict[0] {
 		t.Fatal("in-family prediction missing")
 	}
 }

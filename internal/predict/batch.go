@@ -1,17 +1,16 @@
-// Batch prediction: the evaluation protocol asks every predictor the same
-// question for every tumbling window of a size — 430 windows per field per
-// evaluation year. Answering each window through a scalar Context repeats
-// the same map lookups and binary searches over the same histories once
-// per window×partner. The batch path amortizes that cost: a WindowSet
-// converts each relevant field's change days into a per-window changed row
-// with one sorted merge, and predictors that implement BatchPredictor
-// answer all windows of one size for one target in a single call.
+// Batches: the evaluation protocol asks every predictor the same question
+// for every tumbling window of a size — 430 windows per field per
+// evaluation year. A WindowSet converts each relevant field's change days
+// into a per-window changed row with one sorted merge, and a predictor
+// answers all windows of one size for one target in a single
+// PredictWindows call. A deployment scan or an audit asks the same
+// question for one arbitrary window; OneWindow builds that batch directly
+// over the histories, so both questions reach the same predictor code.
 //
-// Leakage control is preserved exactly as in Context: a Batch clamps the
-// target field at each window start — FieldChanged returns an all-false
+// Leakage control is part of the batch: FieldChanged returns an all-false
 // row for the target, and TargetDaysBefore exposes only the prefix of the
-// target's history strictly before the window start — so a batch predictor
-// can never observe the very change it is asked to predict.
+// target's history strictly before the window start, so a predictor can
+// never observe the very change it is asked to predict.
 package predict
 
 import (
@@ -23,19 +22,6 @@ import (
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
-
-// BatchPredictor is the optional fast-path interface: a predictor that can
-// answer all tumbling windows of one size for one target field in a single
-// call. PredictWindows must fill every element of out (len(out) equals
-// batch.NumWindows()); out may hold stale values from a previous call.
-// Each out[i] must equal Predict(batch.Context(i)) — the evaluation
-// harness chooses freely between the two paths and asserts they agree.
-// Like Predict, PredictWindows must be safe for concurrent use as long as
-// distinct goroutines pass distinct Batches.
-type BatchPredictor interface {
-	Predictor
-	PredictWindows(batch Batch, out []bool)
-}
 
 // rowSet holds per-window changed rows for one window size: rows[f][i]
 // reports whether field f changed inside window i, unclamped. It is the
@@ -145,7 +131,16 @@ type WindowSet struct {
 	shared   *rowSet // immutable precomputed rows, may be nil
 	local    *rowSet // lazily filled, single-goroutine
 	falseRow []bool
-	emptyKey changecube.FieldKey
+	// prefixes[i] counts prefixTarget's change days strictly before window
+	// i's start; prefixDays holds those days. Both belong to the batch last
+	// asked for target days.
+	prefixTarget changecube.FieldKey
+	prefixDays   []timeline.Day
+	prefixes     []int
+	// scratch holds the rows lent by Batch.Scratch; the first lent of them
+	// are in use.
+	scratch [][]bool
+	lent    int
 }
 
 // NewWindowSet builds the window set for one split and size. shared may be
@@ -199,112 +194,153 @@ func (ws *WindowSet) Row(field changecube.FieldKey) []bool {
 	return row
 }
 
-// For returns the leakage-controlled batch view for one target field.
+// For returns the leakage-controlled batch for one target field over
+// every window of the set.
 func (ws *WindowSet) For(target changecube.FieldKey) Batch {
-	return Batch{ws: ws, target: target, state: &batchState{}}
+	return Batch{observed: ws.observed, ws: ws, target: target}
 }
 
-// batchState holds the lazily computed target-day prefixes. It sits behind
-// a pointer so Batch can be passed by value.
-type batchState struct {
-	prefixes   []int // prefixes[i] = #target days strictly before window i's start
-	targetDays []timeline.Day
-	computed   bool
+// targetDaysBefore returns target's change days strictly before window i's
+// start. The prefixes for all windows are computed with a single merge the
+// first time a target is asked, and kept until another target is.
+func (ws *WindowSet) targetDaysBefore(target changecube.FieldKey, i int) []timeline.Day {
+	if ws.prefixes == nil || ws.prefixTarget != target {
+		windows := ws.Windows()
+		if ws.prefixes == nil {
+			ws.prefixes = make([]int, len(windows))
+		}
+		ws.prefixTarget = target
+		ws.prefixDays = nil
+		h, ok := ws.observed.Get(target)
+		if !ok {
+			return nil
+		}
+		days := h.Days()
+		ws.prefixDays = days
+		p := sort.Search(len(days), func(k int) bool {
+			return days[k] >= windows[0].Start
+		})
+		for j, w := range windows {
+			for p < len(days) && days[p] < w.Start {
+				p++
+			}
+			ws.prefixes[j] = p
+		}
+	}
+	if ws.prefixDays == nil {
+		return nil
+	}
+	return ws.prefixDays[:ws.prefixes[i]]
 }
 
-// Batch is the leakage-controlled view for all tumbling windows of one
-// size over one target field — the batch counterpart of Context. It is
-// confined to the goroutine owning its WindowSet.
+// One-element rows shared by every one-window batch.
+var (
+	changedRow   = []bool{true}
+	unchangedRow = []bool{false}
+)
+
+// Batch is the leakage-controlled view of one target field over a set of
+// windows: every tumbling window of a WindowSet, or the single window of
+// OneWindow. It is confined to the goroutine that built it, and is kept to
+// four words because every predictor call passes it by value.
 type Batch struct {
-	ws     *WindowSet
-	target changecube.FieldKey
-	state  *batchState
+	observed *changecube.HistorySet
+	ws       *WindowSet    // nil for a one-window batch
+	span     timeline.Span // the window of a one-window batch
+	target   changecube.FieldKey
+}
+
+// OneWindow returns the batch asking whether target should have changed
+// within the single span, which need not be aligned to any tumbling grid;
+// its window has index 0. It allocates nothing: FieldChanged answers with
+// shared one-element rows, and TargetDaysBefore slices the target's
+// history at the span start.
+func OneWindow(observed *changecube.HistorySet, target changecube.FieldKey, span timeline.Span) Batch {
+	return Batch{observed: observed, span: span, target: target}
 }
 
 // Target returns the field under prediction.
 func (b Batch) Target() changecube.FieldKey { return b.target }
 
-// Windows returns the tumbling windows being predicted; windows[i].Index
-// == i. The slice is shared and must not be modified.
-func (b Batch) Windows() []timeline.Window { return b.ws.Windows() }
-
 // NumWindows returns the number of windows (the required length of the out
 // slice passed to PredictWindows).
-func (b Batch) NumWindows() int { return len(b.ws.Windows()) }
+func (b Batch) NumWindows() int {
+	if b.ws == nil {
+		return 1
+	}
+	return len(b.ws.Windows())
+}
+
+// Window returns window i of the batch.
+func (b Batch) Window(i int) timeline.Window {
+	if b.ws == nil {
+		return timeline.Window{Span: b.span}
+	}
+	return b.ws.Windows()[i]
+}
 
 // WindowSize returns the common size of the windows in days.
-func (b Batch) WindowSize() int { return b.ws.Size() }
+func (b Batch) WindowSize() int {
+	if b.ws == nil {
+		return b.span.Len()
+	}
+	return b.ws.Size()
+}
 
 // Cube returns the schema metadata (templates, pages, dictionaries).
-func (b Batch) Cube() *changecube.Cube { return b.ws.observed.Cube() }
+func (b Batch) Cube() *changecube.Cube { return b.observed.Cube() }
 
-// FieldChanged returns field's per-window changed row under the same clamp
-// Context.FieldChangedIn applies: for any field other than the target,
-// row[i] reports a change inside window i; for the target field itself the
-// row is all false, because the target is only visible before each window
-// start and a window never overlaps the days before its own start. The
-// returned slice is shared and must not be modified.
+// FieldChanged returns field's per-window changed row under the leakage
+// clamp: for any field other than the target, row[i] reports a change
+// inside window i, which is visible because related fields were updated
+// correctly; for the target itself the row is all false, because the
+// target is only visible before each window start and a window never
+// overlaps the days before its own start. The returned slice is shared and
+// must not be modified.
 func (b Batch) FieldChanged(field changecube.FieldKey) []bool {
-	if field == b.target {
-		return b.ws.falseRow
+	if b.ws != nil {
+		if field == b.target {
+			return b.ws.falseRow
+		}
+		return b.ws.Row(field)
 	}
-	return b.ws.Row(field)
+	if field != b.target {
+		if h, ok := b.observed.Get(field); ok && h.ChangedIn(b.span) {
+			return changedRow
+		}
+	}
+	return unchangedRow
 }
 
 // TargetDaysBefore returns the target's change days strictly before window
-// i's start — the batch counterpart of Context.TargetDays. The prefixes
-// for all windows are computed with a single merge on first use. The
-// returned slice aliases the history's storage.
+// i's start — the only view of the target a predictor may use. The
+// returned slice may alias the history's storage and must not be modified.
 func (b Batch) TargetDaysBefore(i int) []timeline.Day {
-	st := b.state
-	if !st.computed {
-		st.computed = true
-		windows := b.ws.Windows()
-		st.prefixes = make([]int, len(windows))
-		h, ok := b.ws.observed.Get(b.target)
-		if ok {
-			days := h.Days()
-			st.targetDays = days
-			p := sort.Search(len(days), func(k int) bool {
-				return days[k] >= windows[0].Start
-			})
-			for j, w := range windows {
-				for p < len(days) && days[p] < w.Start {
-					p++
-				}
-				st.prefixes[j] = p
-			}
-		}
+	if b.ws != nil {
+		return b.ws.targetDaysBefore(b.target, i)
 	}
-	if st.targetDays == nil {
+	h, ok := b.observed.Get(b.target)
+	if !ok {
 		return nil
 	}
-	return st.targetDays[:st.prefixes[i]]
+	return h.Before(b.span.Start)
 }
 
-// Context returns the scalar prediction context for window i — the bridge
-// the harness and ensembles use to run non-batch predictors inside a batch
-// evaluation.
-func (b Batch) Context(i int) Context {
-	return NewContext(b.ws.observed, b.target, b.ws.Windows()[i])
-}
-
-// ScalarPredictWindows fills out by evaluating p's scalar Predict once per
-// window — the fallback for predictors without a batch implementation, and
-// the reference implementation batch paths are tested against.
-func ScalarPredictWindows(p Predictor, b Batch, out []bool) {
-	for i := range out {
-		out[i] = p.Predict(b.Context(i))
+// Scratch lends a row of NumWindows() elements that stays the caller's
+// until the matching Release; rows lent and not yet released are distinct,
+// so nested ensembles may each hold one. The rows belong to the batch's
+// WindowSet and are reused across targets, so combining member rows
+// allocates nothing. Only a WindowSet batch lends rows: a one-window
+// batch has none to lend, and its callers combine verdicts in place.
+func (b Batch) Scratch() []bool {
+	ws := b.ws
+	if ws.lent == len(ws.scratch) {
+		ws.scratch = append(ws.scratch, make([]bool, len(ws.Windows())))
 	}
+	row := ws.scratch[ws.lent]
+	ws.lent++
+	return row
 }
 
-// MemberPredictWindows fills out with p's row, taking the batch fast path
-// when p implements BatchPredictor and the scalar fallback otherwise.
-// Ensembles use it to combine member rows directly.
-func MemberPredictWindows(p Predictor, b Batch, out []bool) {
-	if bp, ok := p.(BatchPredictor); ok {
-		bp.PredictWindows(b, out)
-		return
-	}
-	ScalarPredictWindows(p, b, out)
-}
+// Release returns the row most recently lent by Scratch.
+func (b Batch) Release() { b.ws.lent-- }

@@ -52,32 +52,49 @@ func TestBatchClampsTargetRow(t *testing.T) {
 		}
 	}
 	// A non-target field is visible through the window end, exactly as the
-	// scalar Context reports it.
-	for i, w := range b.Windows() {
-		ctx := NewContext(hs, fa, w)
-		if got, want := b.FieldChanged(fb)[i], ctx.FieldChangedIn(fb, w.Span); got != want {
-			t.Fatalf("partner row[%d] = %v, Context says %v", i, got, want)
+	// one-window batch of the same window reports it.
+	for i := 0; i < b.NumWindows(); i++ {
+		one := OneWindow(hs, fa, b.Window(i).Span)
+		if got, want := b.FieldChanged(fb)[i], one.FieldChanged(fb)[0]; got != want {
+			t.Fatalf("partner row[%d] = %v, one-window batch says %v", i, got, want)
+		}
+		if one.FieldChanged(fa)[0] {
+			t.Fatalf("one-window target row for window %d = true; leakage", i)
 		}
 	}
 }
 
-func TestBatchTargetDaysBeforeMatchesContext(t *testing.T) {
+func TestBatchTargetDaysBeforeMatchesOneWindow(t *testing.T) {
 	hs, fa, _ := buildSet(t)
 	split := timeline.NewSpan(3, 24)
 	for _, size := range []int{1, 3, 7} {
 		ws := NewWindowSet(hs, split, size, nil)
 		b := ws.For(fa)
-		for i, w := range b.Windows() {
-			ctx := NewContext(hs, fa, w)
+		for i := 0; i < b.NumWindows(); i++ {
 			got := b.TargetDaysBefore(i)
-			want := ctx.TargetDays()
+			want := OneWindow(hs, fa, b.Window(i).Span).TargetDaysBefore(0)
 			if len(got) != len(want) {
-				t.Fatalf("size %d window %d: TargetDaysBefore %v != TargetDays %v", size, i, got, want)
+				t.Fatalf("size %d window %d: TargetDaysBefore %v != one-window %v", size, i, got, want)
 			}
 			for j := range got {
 				if got[j] != want[j] {
-					t.Fatalf("size %d window %d: TargetDaysBefore %v != TargetDays %v", size, i, got, want)
+					t.Fatalf("size %d window %d: TargetDaysBefore %v != one-window %v", size, i, got, want)
 				}
+			}
+		}
+	}
+}
+
+func TestBatchTargetDaysBeforeInterleavedTargets(t *testing.T) {
+	hs, fa, fb := buildSet(t)
+	ws := NewWindowSet(hs, timeline.NewSpan(0, 21), 7, nil)
+	a, b := ws.For(fa), ws.For(fb)
+	// Two batches of one set take turns; each must see its own target.
+	for i := 0; i < a.NumWindows(); i++ {
+		for _, x := range []Batch{a, b, a} {
+			want := OneWindow(hs, x.Target(), x.Window(i).Span).TargetDaysBefore(0)
+			if got := x.TargetDaysBefore(i); len(got) != len(want) {
+				t.Fatalf("target %v window %d: %v, want %v", x.Target(), i, got, want)
 			}
 		}
 	}
@@ -88,24 +105,11 @@ func TestBatchTargetDaysBeforeUnknownTarget(t *testing.T) {
 	ws := NewWindowSet(hs, timeline.NewSpan(0, 21), 7, nil)
 	ghost := changecube.FieldKey{Entity: fa.Entity, Property: 999}
 	b := ws.For(ghost)
-	for i := range b.Windows() {
+	for i := 0; i < b.NumWindows(); i++ {
 		if days := b.TargetDaysBefore(i); days != nil {
 			t.Fatalf("unknown target days = %v, want nil", days)
 		}
 	}
-}
-
-func TestBatchContextBridgesScalarPath(t *testing.T) {
-	hs, fa, fb := buildSet(t)
-	ws := NewWindowSet(hs, timeline.NewSpan(0, 21), 7, nil)
-	b := ws.For(fa)
-	for i, w := range b.Windows() {
-		ctx := b.Context(i)
-		if ctx.Target() != fa || ctx.Window() != w {
-			t.Fatalf("Context(%d) target/window mismatch", i)
-		}
-	}
-	_ = fb
 }
 
 func TestBatchAccessors(t *testing.T) {
@@ -118,7 +122,7 @@ func TestBatchAccessors(t *testing.T) {
 	if b.WindowSize() != 7 || ws.Size() != 7 {
 		t.Fatalf("WindowSize = %d", b.WindowSize())
 	}
-	if b.NumWindows() != 3 || len(b.Windows()) != 3 {
+	if b.NumWindows() != 3 || b.Window(2) != ws.Windows()[2] {
 		t.Fatalf("NumWindows = %d", b.NumWindows())
 	}
 	if b.Cube() != hs.Cube() {
@@ -167,52 +171,17 @@ func TestPrecomputeRowsSkipsInvalidSizes(t *testing.T) {
 	}
 }
 
-func TestScalarPredictWindowsMatchesPredict(t *testing.T) {
-	hs, fa, fb := buildSet(t)
-	ws := NewWindowSet(hs, timeline.NewSpan(0, 21), 7, nil)
-	b := ws.For(fa)
-	p := Func{PredictorName: "partner-watch", Fn: func(ctx Context) bool {
-		return ctx.FieldChangedIn(fb, ctx.Window().Span)
-	}}
-	out := make([]bool, b.NumWindows())
-	ScalarPredictWindows(p, b, out)
-	for i := range out {
-		if out[i] != p.Predict(b.Context(i)) {
-			t.Fatalf("window %d mismatch", i)
-		}
-	}
-	// MemberPredictWindows takes the same fallback for a scalar-only
-	// predictor.
-	out2 := make([]bool, b.NumWindows())
-	MemberPredictWindows(p, b, out2)
-	for i := range out2 {
-		if out2[i] != out[i] {
-			t.Fatalf("MemberPredictWindows window %d mismatch", i)
-		}
-	}
-}
-
-// fixedBatch is a BatchPredictor whose batch row deliberately disagrees
-// with its scalar path, so tests can detect which path ran.
-type fixedBatch struct{ row bool }
-
-func (fixedBatch) Name() string         { return "fixed" }
-func (fixedBatch) Predict(Context) bool { return false }
-func (f fixedBatch) PredictWindows(b Batch, out []bool) {
-	for i := range out {
-		out[i] = f.row
-	}
-}
-
-func TestMemberPredictWindowsPrefersBatchPath(t *testing.T) {
+func TestBatchScratchRowsAreDistinct(t *testing.T) {
 	hs, fa, _ := buildSet(t)
 	ws := NewWindowSet(hs, timeline.NewSpan(0, 21), 7, nil)
 	b := ws.For(fa)
-	out := make([]bool, b.NumWindows())
-	MemberPredictWindows(fixedBatch{row: true}, b, out)
-	for i := range out {
-		if !out[i] {
-			t.Fatalf("window %d took the scalar path", i)
-		}
+	outer := b.Scratch()
+	inner := b.Scratch()
+	if len(outer) != 3 || len(inner) != 3 || &outer[0] == &inner[0] {
+		t.Fatal("nested scratch rows overlap or have the wrong length")
+	}
+	b.Release()
+	if again := ws.For(fa).Scratch(); &again[0] != &inner[0] {
+		t.Fatal("a released row is not reused")
 	}
 }

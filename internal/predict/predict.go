@@ -5,104 +5,39 @@
 // target field's changes only up to the window start — simulating the one
 // forgotten edit — while other fields are visible through the window end,
 // because related fields were updated correctly.
+//
+// The view is a Batch: the question for every tumbling window of one size
+// (the evaluation protocol), or for a single window (a deployment scan or
+// an audit), built by OneWindow. Every predictor answers both through its
+// one PredictWindows method.
 package predict
 
-import (
-	"github.com/wikistale/wikistale/internal/changecube"
-	"github.com/wikistale/wikistale/internal/timeline"
-)
-
-// Context is the leakage-controlled view for a single prediction.
-type Context struct {
-	observed *changecube.HistorySet
-	window   timeline.Window
-	target   changecube.FieldKey
-}
-
-// NewContext builds a prediction context over the observed data.
-func NewContext(observed *changecube.HistorySet, target changecube.FieldKey, window timeline.Window) Context {
-	return Context{observed: observed, window: window, target: target}
-}
-
-// Target returns the field under prediction.
-func (c Context) Target() changecube.FieldKey { return c.target }
-
-// Window returns the prediction window.
-func (c Context) Window() timeline.Window { return c.window }
-
-// Cube returns the schema metadata (templates, pages, dictionaries).
-func (c Context) Cube() *changecube.Cube { return c.observed.Cube() }
-
-// TargetDays returns the target field's change days strictly before the
-// window start — the only view of the target a predictor may use.
-func (c Context) TargetDays() []timeline.Day {
-	h, ok := c.observed.Get(c.target)
-	if !ok {
-		return nil
-	}
-	return h.Before(c.window.Start)
-}
-
-// FieldChangedIn reports whether field changed inside span. The span is
-// clamped to end no later than the window end; for the target field itself
-// it is clamped to end before the window start, so a predictor can never
-// observe the very change it is asked to predict.
-func (c Context) FieldChangedIn(field changecube.FieldKey, span timeline.Span) bool {
-	limit := c.window.End
-	if field == c.target {
-		limit = c.window.Start
-	}
-	if span.End > limit {
-		span.End = limit
-	}
-	if span.End <= span.Start {
-		return false
-	}
-	h, ok := c.observed.Get(field)
-	if !ok {
-		return false
-	}
-	return h.ChangedIn(span)
-}
-
-// FieldDaysBefore returns field's change days strictly before day, with day
-// clamped to the window end (window start for the target field).
-func (c Context) FieldDaysBefore(field changecube.FieldKey, day timeline.Day) []timeline.Day {
-	limit := c.window.End
-	if field == c.target {
-		limit = c.window.Start
-	}
-	if day > limit {
-		day = limit
-	}
-	h, ok := c.observed.Get(field)
-	if !ok {
-		return nil
-	}
-	return h.Before(day)
-}
-
-// Predictor answers the paper's prediction question for one field and
-// window. Implementations are trained ahead of time; Predict must be safe
-// for concurrent use.
+// Predictor answers the paper's prediction question. Implementations are
+// trained ahead of time.
 type Predictor interface {
 	// Name identifies the predictor in reports ("field correlations",
 	// "association rules", ...).
 	Name() string
-	// Predict reports whether the target field should have changed within
-	// the window.
-	Predict(ctx Context) bool
+	// PredictWindows sets out[i] to whether the target should have changed
+	// within window i of the batch; len(out) equals b.NumWindows() and out
+	// may hold stale values from a previous call. It must be safe for
+	// concurrent use as long as distinct goroutines pass distinct batches.
+	PredictWindows(b Batch, out []bool)
 }
 
-// Func adapts a plain function to the Predictor interface, mainly for
-// tests.
+// Func adapts a per-window function to the Predictor interface, mainly
+// for tests.
 type Func struct {
 	PredictorName string
-	Fn            func(Context) bool
+	Fn            func(b Batch, i int) bool
 }
 
 // Name implements Predictor.
 func (f Func) Name() string { return f.PredictorName }
 
-// Predict implements Predictor.
-func (f Func) Predict(ctx Context) bool { return f.Fn(ctx) }
+// PredictWindows implements Predictor by asking Fn once per window.
+func (f Func) PredictWindows(b Batch, out []bool) {
+	for i := range out {
+		out[i] = f.Fn(b, i)
+	}
+}

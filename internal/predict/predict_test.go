@@ -27,78 +27,79 @@ func buildSet(t *testing.T) (*changecube.HistorySet, changecube.FieldKey, change
 
 func TestTargetDaysStopAtWindowStart(t *testing.T) {
 	hs, fa, _ := buildSet(t)
-	w := timeline.Window{Span: timeline.NewSpan(10, 17), Index: 0}
-	ctx := NewContext(hs, fa, w)
-	days := ctx.TargetDays()
+	days := OneWindow(hs, fa, timeline.NewSpan(10, 17)).TargetDaysBefore(0)
 	if len(days) != 1 || days[0] != 5 {
-		t.Fatalf("TargetDays = %v, want [5] (changes at 10, 15 are hidden)", days)
+		t.Fatalf("TargetDaysBefore = %v, want [5] (changes at 10, 15 are hidden)", days)
 	}
 }
 
 func TestFieldChangedInClampsTargetToWindowStart(t *testing.T) {
 	hs, fa, _ := buildSet(t)
-	w := timeline.Window{Span: timeline.NewSpan(10, 17)}
-	ctx := NewContext(hs, fa, w)
-	// The target's own change at day 10 and 15 must be invisible.
-	if ctx.FieldChangedIn(fa, timeline.NewSpan(10, 17)) {
+	b := OneWindow(hs, fa, timeline.NewSpan(10, 17))
+	// The target's own changes at day 10 and 15 must be invisible.
+	if b.FieldChanged(fa)[0] {
 		t.Fatal("target change inside window leaked")
 	}
-	if !ctx.FieldChangedIn(fa, timeline.NewSpan(0, 17)) {
-		t.Fatal("target change before window start should be visible")
+	// Its change before the window start stays visible.
+	if days := b.TargetDaysBefore(0); len(days) != 1 || days[0] != 5 {
+		t.Fatalf("target change before window start hidden: %v", days)
 	}
 }
 
 func TestFieldChangedInClampsOthersToWindowEnd(t *testing.T) {
 	hs, fa, fb := buildSet(t)
-	w := timeline.Window{Span: timeline.NewSpan(10, 14)}
-	ctx := NewContext(hs, fa, w)
 	// fb changed on day 12 (inside window): visible.
-	if !ctx.FieldChangedIn(fb, w.Span) {
+	if !OneWindow(hs, fa, timeline.NewSpan(10, 14)).FieldChanged(fb)[0] {
 		t.Fatal("other field's in-window change invisible")
 	}
-	// fb's change on day 15 (after window end) must not be visible even if
-	// the queried span extends past the window.
-	if ctx.FieldChangedIn(fb, timeline.NewSpan(14, 100)) {
+	// fb's change on day 15, the end of [13, 15), lies after the window.
+	if OneWindow(hs, fa, timeline.NewSpan(13, 15)).FieldChanged(fb)[0] {
 		t.Fatal("future change beyond window end leaked")
 	}
 }
 
 func TestFieldChangedInUnknownField(t *testing.T) {
 	hs, fa, _ := buildSet(t)
-	ctx := NewContext(hs, fa, timeline.Window{Span: timeline.NewSpan(0, 10)})
+	w := timeline.NewSpan(0, 10)
 	ghost := changecube.FieldKey{Entity: 0, Property: 99}
-	if ctx.FieldChangedIn(ghost, timeline.NewSpan(0, 10)) {
+	if OneWindow(hs, fa, w).FieldChanged(ghost)[0] {
 		t.Fatal("unknown field reported a change")
 	}
-	if ctx.FieldDaysBefore(ghost, 10) != nil {
-		t.Fatal("unknown field reported days")
-	}
-}
-
-func TestFieldDaysBeforeClamping(t *testing.T) {
-	hs, fa, fb := buildSet(t)
-	w := timeline.Window{Span: timeline.NewSpan(10, 14)}
-	ctx := NewContext(hs, fa, w)
-	if days := ctx.FieldDaysBefore(fb, 100); len(days) != 2 || days[1] != 12 {
-		t.Fatalf("other-field days clamped wrong: %v", days)
-	}
-	if days := ctx.FieldDaysBefore(fa, 100); len(days) != 1 || days[0] != 5 {
-		t.Fatalf("target days clamped wrong: %v", days)
+	if OneWindow(hs, ghost, w).TargetDaysBefore(0) != nil {
+		t.Fatal("unknown target reported days")
 	}
 }
 
 func TestAccessors(t *testing.T) {
 	hs, fa, _ := buildSet(t)
-	w := timeline.Window{Span: timeline.NewSpan(1, 2), Index: 7}
-	ctx := NewContext(hs, fa, w)
-	if ctx.Target() != fa || ctx.Window() != w || ctx.Cube() != hs.Cube() {
+	span := timeline.NewSpan(1, 3)
+	b := OneWindow(hs, fa, span)
+	if b.Target() != fa || b.Window(0) != (timeline.Window{Span: span}) || b.Cube() != hs.Cube() ||
+		b.NumWindows() != 1 || b.WindowSize() != 2 {
 		t.Fatal("accessors broken")
 	}
 }
 
+func TestOneWindowAllocatesNothing(t *testing.T) {
+	hs, fa, fb := buildSet(t)
+	w := timeline.NewSpan(10, 17)
+	allocs := testing.AllocsPerRun(100, func() {
+		b := OneWindow(hs, fa, w)
+		_ = b.FieldChanged(fb)
+		_ = b.TargetDaysBefore(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("one-window batch allocates %v times per question", allocs)
+	}
+}
+
 func TestFuncAdapter(t *testing.T) {
-	p := Func{PredictorName: "always", Fn: func(Context) bool { return true }}
-	if p.Name() != "always" || !p.Predict(Context{}) {
-		t.Fatal("Func adapter broken")
+	hs, fa, _ := buildSet(t)
+	p := Func{PredictorName: "even", Fn: func(b Batch, i int) bool { return i%2 == 0 }}
+	b := NewWindowSet(hs, timeline.NewSpan(0, 21), 7, nil).For(fa)
+	out := []bool{false, true, false}
+	p.PredictWindows(b, out)
+	if p.Name() != "even" || !out[0] || out[1] || !out[2] {
+		t.Fatalf("Func adapter broken: %v", out)
 	}
 }

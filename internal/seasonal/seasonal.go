@@ -200,29 +200,30 @@ func (p *Predictor) Covers(f changecube.FieldKey) bool { return len(p.anchors[f]
 // NumCovered returns the number of fields with anchors.
 func (p *Predictor) NumCovered() int { return len(p.anchors) }
 
-// Predict implements predict.Predictor: the field should have changed if
-// the window covers one of its anchors, the window is coarse enough for a
-// yearly rhythm to pin a change, and the field still followed its rhythm
-// recently (it changed within MaxDormancyDays before the window).
-func (p *Predictor) Predict(ctx predict.Context) bool {
-	return p.Explain(ctx) != nil
-}
-
-// Explain returns the anchor justifying a positive prediction, or nil.
-func (p *Predictor) Explain(ctx predict.Context) *Anchor {
-	anchors := p.anchors[ctx.Target()]
-	if len(anchors) == 0 {
+// Evidence is the predictor's firing rule, stated once: the target
+// should have changed in window i of b if the window covers one of its
+// anchors, the window is coarse enough for a yearly rhythm to pin a
+// change, and the field still followed its rhythm recently (it changed
+// within MaxDormancyDays before the window). It returns the anchor
+// justifying a positive verdict, or nil.
+func (p *Predictor) Evidence(b predict.Batch, i int) *Anchor {
+	anchors := p.anchors[b.Target()]
+	if len(anchors) == 0 || b.WindowSize() < p.minWindow {
 		return nil
 	}
-	w := ctx.Window()
-	if w.Size() < p.minWindow {
-		return nil
-	}
-	days := ctx.TargetDays()
+	w := b.Window(i)
+	days := b.TargetDaysBefore(i)
 	if len(days) == 0 || days[len(days)-1] < w.Start-p.maxDormancy {
 		return nil // the page fell out of maintenance
 	}
 	return p.match(anchors, w.Span)
+}
+
+// PredictWindows implements predict.Predictor through Evidence.
+func (p *Predictor) PredictWindows(b predict.Batch, out []bool) {
+	for i := range out {
+		out[i] = p.Evidence(b, i) != nil
+	}
 }
 
 // match returns the first anchor whose day-of-year falls inside the span.

@@ -39,6 +39,14 @@ func yearly(dayOfYear int, jitters ...int) []timeline.Day {
 	return days
 }
 
+// fires asks p the one-window question: should target have changed in
+// span?
+func fires(p predict.Predictor, hs *changecube.HistorySet, target changecube.FieldKey, span timeline.Span) bool {
+	verdict := make([]bool, 1)
+	p.PredictWindows(predict.OneWindow(hs, target, span), verdict)
+	return verdict[0]
+}
+
 func TestTrainFindsYearlyAnchor(t *testing.T) {
 	// Changes around day-of-year 100 in 6 consecutive years, jitter ±3.
 	hs, keys := buildSet(t, yearly(100, 0, 2, -3, 1, 0, -1))
@@ -112,8 +120,7 @@ func TestWrapAroundAnchor(t *testing.T) {
 		t.Fatalf("wrap-around anchors = %v, want one", anchors)
 	}
 	// Prediction across the seam: a window covering the year boundary.
-	w := timeline.Window{Span: timeline.NewSpan(6*365-15, 6*365+15)}
-	if !p.Predict(predict.NewContext(hs, keys[0], w)) {
+	if !fires(p, hs, keys[0], timeline.NewSpan(6*365-15, 6*365+15)) {
 		t.Fatal("seam window missed the wrap-around anchor")
 	}
 }
@@ -124,25 +131,25 @@ func TestPredictWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(start, end timeline.Day) predict.Context {
-		return predict.NewContext(hs, keys[0], timeline.Window{Span: timeline.NewSpan(start, end)})
+	mk := func(start, end timeline.Day) bool {
+		return fires(p, hs, keys[0], timeline.NewSpan(start, end))
 	}
 	year6 := timeline.Day(6 * 365)
 	// Monthly window covering the next year's anchor.
-	if !p.Predict(mk(year6+90, year6+120)) {
+	if !mk(year6+90, year6+120) {
 		t.Fatal("monthly window on the anchor not predicted")
 	}
 	// Monthly window away from the anchor.
-	if p.Predict(mk(year6+180, year6+210)) {
+	if mk(year6+180, year6+210) {
 		t.Fatal("off-season month predicted")
 	}
 	// Daily window on the anchor day: below MinWindowDays, no prediction —
 	// a yearly rhythm cannot pin a change to a day.
-	if p.Predict(mk(year6+100, year6+101)) {
+	if mk(year6+100, year6+101) {
 		t.Fatal("daily prediction despite MinWindowDays")
 	}
 	// Yearly window always covers a seasonal field's anchor.
-	if !p.Predict(mk(year6, year6+365)) {
+	if !mk(year6, year6+365) {
 		t.Fatal("yearly window missed the anchor")
 	}
 }
@@ -156,8 +163,7 @@ func TestPredictRespectsDormancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	year9 := timeline.Day(9 * 365)
-	w := timeline.Window{Span: timeline.NewSpan(year9+90, year9+120)}
-	if p.Predict(predict.NewContext(hs, keys[0], w)) {
+	if fires(p, hs, keys[0], timeline.NewSpan(year9+90, year9+120)) {
 		t.Fatal("dormant field predicted")
 	}
 }
@@ -168,14 +174,12 @@ func TestExplainReturnsAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := timeline.Window{Span: timeline.NewSpan(4*365+85, 4*365+115)}
-	a := p.Explain(predict.NewContext(hs, keys[0], w))
+	a := p.Evidence(predict.OneWindow(hs, keys[0], timeline.NewSpan(4*365+85, 4*365+115)), 0)
 	if a == nil || a.DayOfYear < 97 || a.DayOfYear > 103 {
-		t.Fatalf("Explain = %+v", a)
+		t.Fatalf("Evidence = %+v", a)
 	}
-	off := timeline.Window{Span: timeline.NewSpan(4*365+200, 4*365+230)}
-	if p.Explain(predict.NewContext(hs, keys[0], off)) != nil {
-		t.Fatal("Explain fired off-season")
+	if p.Evidence(predict.OneWindow(hs, keys[0], timeline.NewSpan(4*365+200, 4*365+230)), 0) != nil {
+		t.Fatal("Evidence fired off-season")
 	}
 }
 
