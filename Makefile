@@ -34,14 +34,13 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Fuzz every parser/decoder for a short burst each: the binary cube
-# format, the wikitext infobox parser, the counter-anomaly detector, the
-# streaming JSONL event format, and the epoch store's log and snapshot
-# decoders (crash-recovery surfaces: they parse whatever a torn write
-# left on disk).
+# Fuzz every parser/decoder for a short burst each: the wikitext infobox
+# parser, the counter-anomaly detector, the streaming JSONL event format,
+# and the epoch store's log and snapshot decoders (crash-recovery
+# surfaces: they parse whatever a torn write left on disk; the snapshot
+# decoder also reads every corpus file).
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/changecube
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInfoboxes$$' -fuzztime $(FUZZTIME) ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectCounterAnomalies$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/ingest
@@ -56,7 +55,8 @@ loadsmoke:
 
 # Cold-start smoke: run a live server with -store, kill it after the
 # first persisted epoch, restart, and assert instant readiness from the
-# store plus exact feed resume (see scripts/coldstartsmoke.sh).
+# store plus exact feed resume; then the same restart contract for a
+# batch server booted from a corpus file (see scripts/coldstartsmoke.sh).
 coldsmoke:
 	sh scripts/coldstartsmoke.sh
 

@@ -7,8 +7,10 @@
 package wikistale_test
 
 import (
-	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +19,8 @@ import (
 	"github.com/wikistale/wikistale/internal/assocrules"
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/correlation"
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/dataset"
+	"github.com/wikistale/wikistale/internal/epochstore"
 	"github.com/wikistale/wikistale/internal/eval"
 	"github.com/wikistale/wikistale/internal/experiments"
 	"github.com/wikistale/wikistale/internal/filter"
@@ -509,81 +511,31 @@ func BenchmarkLiveRetrain(b *testing.B) {
 	}
 }
 
-// BenchmarkCubeStoreCommit measures committing a daily segment to the
-// durable store.
-func BenchmarkCubeStoreCommit(b *testing.B) {
+// BenchmarkCorpusRoundTrip measures the corpus file written by wikigen
+// and read by staledetect and staleserve: WriteCorpus to disk, then
+// ReadCorpus back.
+func BenchmarkCorpusRoundTrip(b *testing.B) {
 	c := corpus(b)
-	dir := b.TempDir()
-	store, err := cubestore.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cube := store.Cube()
-	e := cube.AddEntityNamed("t", "p")
-	prop := changecube.PropertyID(cube.Properties.Intern("x"))
+	path := filepath.Join(b.TempDir(), "corpus.snap")
+	var size int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < 1000; j++ {
-			store.Append(changecube.Change{
-				Time:     int64(i*1000 + j),
-				Entity:   e,
-				Property: prop,
-				Value:    "v",
-				Kind:     changecube.Update,
-			})
+		f, err := os.Create(path)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if err := store.Commit(); err != nil {
+		if err := epochstore.WriteCorpus(f, c.Cube); err != nil {
+			b.Fatal(err)
+		}
+		if size, err = f.Seek(0, io.SeekCurrent); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := epochstore.ReadCorpus(path); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(1000 * 16)
-	_ = c
-}
-
-// BenchmarkCubeStoreOpen measures cold-start replay of a multi-segment
-// store.
-func BenchmarkCubeStoreOpen(b *testing.B) {
-	dir := b.TempDir()
-	store, err := cubestore.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cube := store.Cube()
-	e := cube.AddEntityNamed("t", "p")
-	prop := changecube.PropertyID(cube.Properties.Intern("x"))
-	for seg := 0; seg < 10; seg++ {
-		for j := 0; j < 2000; j++ {
-			store.Append(changecube.Change{
-				Time: int64(seg*2000 + j), Entity: e, Property: prop,
-				Value: "v", Kind: changecube.Update,
-			})
-		}
-		if err := store.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cubestore.Open(dir); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCubeBinaryRoundTrip measures the single-file serialization used
-// by wikigen and staledetect.
-func BenchmarkCubeBinaryRoundTrip(b *testing.B) {
-	c := corpus(b)
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := c.Cube.WriteBinary(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := changecube.ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
+	b.SetBytes(size)
 }

@@ -11,8 +11,8 @@
 //
 // Usage:
 //
-//	infoboxdump -i revisions.jsonl -o corpus.wcc [-jsonl changes.jsonl]
-//	infoboxdump -format xml -i dump.xml -o corpus.wcc
+//	infoboxdump -i revisions.jsonl -o corpus.snap [-jsonl changes.jsonl]
+//	infoboxdump -format xml -i dump.xml -o corpus.snap
 package main
 
 import (
@@ -25,6 +25,7 @@ import (
 	"os"
 
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/epochstore"
 	"github.com/wikistale/wikistale/internal/revision"
 )
 
@@ -42,7 +43,7 @@ func main() {
 	var (
 		in     = flag.String("i", "-", "input revisions; - for stdin")
 		format = flag.String("format", "jsonl", "input format: jsonl or xml (MediaWiki export)")
-		out    = flag.String("o", "corpus.wcc", "output path for the binary change cube")
+		out    = flag.String("o", "corpus.snap", "output path for the corpus file (an epoch snapshot without a model)")
 		jsonl  = flag.String("jsonl", "", "optional output path for a JSON-lines change dump")
 	)
 	flag.Parse()
@@ -90,7 +91,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := cube.WriteBinary(f); err != nil {
+	if err := epochstore.WriteCorpus(f, cube); err != nil {
 		log.Fatalf("writing %s: %v", *out, err)
 	}
 	if err := f.Close(); err != nil {

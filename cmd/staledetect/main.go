@@ -5,20 +5,21 @@
 //
 // Usage:
 //
-//	staledetect -i corpus.wcc [-asof 2019-09-01] [-window 7] [-stats] [-timing] [-limit 50]
-//	staledetect -store /var/lib/wikistale   # load from a cubestore directory
+//	staledetect -i corpus.snap [-asof 2019-09-01] [-window 7] [-stats] [-timing] [-limit 50]
+//	staledetect -store /var/lib/wikistale   # serve the newest epoch of an epoch store, no retraining
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
-	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
-	"github.com/wikistale/wikistale/internal/cubestore"
+	"github.com/wikistale/wikistale/internal/epochstore"
 	"github.com/wikistale/wikistale/internal/obs/olog"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -27,8 +28,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("staledetect: ")
 	var (
-		in     = flag.String("i", "corpus.wcc", "input binary change cube")
-		store  = flag.String("store", "", "load from a cubestore directory instead of -i")
+		in     = flag.String("i", "corpus.snap", "input corpus file (or any epoch snapshot)")
+		store  = flag.String("store", "", "epoch store directory: detect with its newest loadable epoch instead of training on -i")
 		asOf   = flag.String("asof", "", "detection date (YYYY-MM-DD); default: end of the data")
 		window = flag.Int("window", 7, "staleness window in days (1, 7, 30 or 365)")
 		stats  = flag.Bool("stats", false, "print filter-funnel and rule statistics")
@@ -44,33 +45,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var cube *changecube.Cube
-	if *store != "" {
-		s, err := cubestore.Open(*store)
-		if err != nil {
-			log.Fatalf("opening store %s: %v", *store, err)
-		}
-		cube = s.Cube()
-	} else {
-		f, err := os.Open(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var err2 error
-		cube, err2 = changecube.ReadBinary(f)
-		f.Close()
-		if err2 != nil {
-			log.Fatalf("reading %s: %v", *in, err2)
-		}
-	}
-
-	start := time.Now()
-	det, err := core.Train(cube, core.DefaultConfig())
+	det, err := detector(*in, *store)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "trained on %d changes in %v\n",
-		cube.NumChanges(), time.Since(start).Round(time.Millisecond))
+	cube := det.Histories().Cube()
 
 	if *timing {
 		fmt.Fprint(os.Stderr, det.TrainReport())
@@ -102,4 +81,38 @@ func main() {
 		prop := cube.Properties.Name(int32(a.Field.Property))
 		fmt.Printf("  %s | %s: %s (%v)\n", page, prop, a.Explanation, a.Sources)
 	}
+}
+
+// detector loads the newest epoch of the store when one is given, and
+// otherwise trains on the corpus file.
+func detector(in, store string) (*core.Detector, error) {
+	cfg := core.DefaultConfig()
+	start := time.Now()
+	if store != "" {
+		es, err := epochstore.Open(epochstore.Options{Dir: store})
+		if err != nil {
+			return nil, err
+		}
+		res, err := es.LoadLatest(context.Background(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		if res.Detector == nil {
+			return nil, fmt.Errorf("no loadable epoch in %s%s", store, strings.Join(append([]string{""}, res.Errors...), "; "))
+		}
+		fmt.Fprintf(os.Stderr, "loaded epoch %d (%s) from %s in %v\n",
+			res.Record.Seq, res.Outcome, store, time.Since(start).Round(time.Millisecond))
+		return res.Detector, nil
+	}
+	cube, err := epochstore.ReadCorpus(in)
+	if err != nil {
+		return nil, err
+	}
+	det, err := core.Train(cube, cfg)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "trained on %d changes in %v\n",
+		cube.NumChanges(), time.Since(start).Round(time.Millisecond))
+	return det, nil
 }

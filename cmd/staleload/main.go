@@ -19,7 +19,7 @@
 //
 // Usage:
 //
-//	staleserve -i corpus.wcc &
+//	staleserve -i corpus.snap &
 //	staleload -url http://localhost:8080 -mode both -c 8 -rps 500 \
 //	          -d 10s -warmup 2s -json BENCH_HTTP.json
 package main

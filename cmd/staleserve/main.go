@@ -23,22 +23,25 @@
 //	GET /debug/pprof/                       Go profiling endpoints
 //
 // Batch mode (the default) trains once on -i and serves that detector
-// forever. Live mode (-live) consumes a change-event feed, retrains in
-// the background, and hot-swaps the serving detector with zero downtime:
+// forever; with -store DIR it boots from the newest epoch in the store
+// instead, and on a cold store trains on -i and commits that detector as
+// the store's first epoch. Live mode (-live) consumes a change-event
+// feed, retrains in the background, and hot-swaps the serving detector
+// with zero downtime:
 //
 //	staleserve -live -source sim                 # simulated EventStreams feed
 //	staleserve -live -source sim:scale=8         # ~10M-change corpus streamed straight from the generator
 //	staleserve -live -source events.jsonl        # replay a JSONL dump, then keep serving
 //	staleserve -live -source events.jsonl -follow # tail the file as it grows
-//	staleserve -live -source feed.jsonl -i corpus.wcc  # warm start from a corpus
+//	staleserve -live -source feed.jsonl -i corpus.snap  # warm start from a corpus
 //	staleserve -live -source feed.jsonl -store epochs/ # persist epochs; restart boots instantly
 //
-// With -store DIR every trained epoch is persisted (model + training cube
-// + feed checkpoint) into an epoch store; on the next start the newest
-// valid epoch is served immediately — /readyz is 200 in milliseconds with
-// no retraining — and the feed resumes exactly at the epoch's checkpoint.
-// Corrupt or torn snapshots fall back to the previous epoch, then to a
-// cold start.
+// With -store DIR in live mode every trained epoch is persisted (model +
+// training cube + feed checkpoint) into an epoch store; on the next start
+// the newest valid epoch is served immediately — /readyz is 200 in
+// milliseconds with no retraining — and the feed resumes exactly at the
+// epoch's checkpoint. Corrupt or torn snapshots fall back to the previous
+// epoch, then to a cold start.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener
 // closes, in-flight requests get up to -drain to finish, then the
@@ -46,7 +49,7 @@
 //
 // Usage:
 //
-//	staleserve -i corpus.wcc -addr :8080 [-v]
+//	staleserve -i corpus.snap -addr :8080 [-store DIR] [-v]
 package main
 
 import (
@@ -71,7 +74,6 @@ import (
 	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/epochstore"
-	"github.com/wikistale/wikistale/internal/filter"
 	"github.com/wikistale/wikistale/internal/ingest"
 	"github.com/wikistale/wikistale/internal/obs/olog"
 	"github.com/wikistale/wikistale/internal/obs/quality"
@@ -97,8 +99,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("staleserve: ")
 	var (
-		in      = flag.String("i", "", "input binary change cube (batch mode default: corpus.wcc; live mode: optional warm start)")
-		model   = flag.String("model", "", "model file: load it when it exists, train and write it when it does not (batch mode)")
+		in      = flag.String("i", "", "input corpus file (batch mode default: corpus.snap; live mode: optional warm start)")
 		addr    = flag.String("addr", ":8080", "listen address")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
 		verbose = flag.Bool("v", false, "print the training stage-timing report")
@@ -115,8 +116,8 @@ func main() {
 		retrainInc     = flag.Bool("retrain-incremental", true, "live mode: reuse untouched pages' correlation rules between retrains (bit-identical, faster)")
 		retrainFull    = flag.Int("retrain-full-every", 32, "live mode: force a full rebuild after this many incremental retrains (0 never)")
 
-		storeDir    = flag.String("store", "", "live mode: epoch store directory — persist every trained epoch and boot from the newest valid one instead of retraining")
-		storeRetain = flag.Int("store-retain", epochstore.DefaultRetain, "live mode: epoch snapshots kept on disk")
+		storeDir    = flag.String("store", "", "epoch store directory — boot from the newest valid epoch instead of retraining; persist the trained epoch (batch mode: on a cold store; live mode: every retrain)")
+		storeRetain = flag.Int("store-retain", epochstore.DefaultRetain, "epoch snapshots kept on disk")
 
 		qualityHorizon = flag.Int("quality-horizon", quality.DefaultHorizonDays, "live mode: event-time days an alert has to be confirmed by a change before it scores as expired (/debug/quality; 0 disables scoring)")
 	)
@@ -141,32 +142,83 @@ func main() {
 		runLive(*source, *in, *addr, *drain, *follow, *retrainEvery, *retrainChanges, *retrainInc, *retrainFull, *storeDir, *storeRetain, *qualityHorizon)
 		return
 	}
-	if *storeDir != "" {
-		log.Fatal("-store requires -live (batch mode persists via -model)")
-	}
 	if *in == "" {
-		*in = "corpus.wcc"
+		*in = "corpus.snap"
 	}
-	runBatch(*in, *model, *addr, *drain, *verbose)
+	runBatch(*in, *addr, *drain, *verbose, *storeDir, *storeRetain)
 }
 
-// runBatch is the original mode: train (or load) once, serve forever.
-func runBatch(in, model, addr string, drain time.Duration, verbose bool) {
-	cube := readCube(in)
+// runBatch trains once and serves forever. With -store it boots the way
+// live mode does: the newest loadable epoch is served without retraining;
+// a cold store trains on the corpus and commits the detector as its first
+// epoch.
+func runBatch(in, addr string, drain time.Duration, verbose bool, storeDir string, storeRetain int) {
+	cfg := core.DefaultConfig()
+	var es *epochstore.Store
+	if storeDir != "" {
+		var loaded *epochstore.LoadResult
+		if es, loaded = bootStore(storeDir, storeRetain, cfg); loaded != nil {
+			es.RecordRecovery(loaded.Outcome)
+			fmt.Fprintf(os.Stderr, "booted epoch %d from %s in %.0f ms (%s; %d fields)\n",
+				loaded.Record.Seq, storeDir, 1000*loaded.Seconds, loaded.Outcome, loaded.Record.Fields)
+			serveBatch(loaded.Detector, es, addr, drain)
+			return
+		}
+		es.RecordRecovery("cold")
+	}
 
-	start := time.Now()
-	det, how, err := trainOrLoad(cube, model)
+	cube, err := epochstore.ReadCorpus(in)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "%s on %d changes in %v; %d correlation rules, %d association rules\n",
-		how, cube.NumChanges(), time.Since(start).Round(time.Millisecond),
+	start := time.Now()
+	det, err := tracedTrain(cube, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "trained on %d changes in %v; %d correlation rules, %d association rules\n",
+		cube.NumChanges(), time.Since(start).Round(time.Millisecond),
 		det.FieldCorrelations().NumRules(), det.AssociationRules().NumRules())
 	if verbose {
 		fmt.Fprint(os.Stderr, det.TrainReport())
 	}
+	if es != nil {
+		if _, err := es.Snapshot(context.Background(), det, ingest.Checkpoint{}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	serveBatch(det, es, addr, drain)
+}
 
-	serve(staleserve.New(det), addr, drain, nil)
+// bootStore opens the epoch store in dir and loads its newest loadable
+// epoch, reporting every epoch it had to skip. The result is nil when the
+// store is cold.
+func bootStore(dir string, retain int, cfg core.Config) (*epochstore.Store, *epochstore.LoadResult) {
+	es, err := epochstore.Open(epochstore.Options{Dir: dir, Retain: retain})
+	if err != nil {
+		log.Fatal(err)
+	}
+	loaded, err := es.LoadLatest(context.Background(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range loaded.Errors {
+		fmt.Fprintf(os.Stderr, "epoch store: %s\n", e)
+	}
+	if loaded.Detector == nil {
+		return es, nil
+	}
+	return es, loaded
+}
+
+// serveBatch serves one detector, with the store's stats on /statusz
+// when a store is open.
+func serveBatch(det *core.Detector, es *epochstore.Store, addr string, drain time.Duration) {
+	srv := staleserve.New(det)
+	if es != nil {
+		srv.SetStoreStats(func() any { return es.Stats() })
+	}
+	serve(srv, addr, drain, nil)
 }
 
 // runLive wires feed → staging → background retrains → epoch hot-swaps.
@@ -181,19 +233,7 @@ func runLive(source, warmCube, addr string, drain time.Duration, follow bool, re
 	var es *epochstore.Store
 	var loaded *epochstore.LoadResult
 	if storeDir != "" {
-		var err error
-		if es, err = epochstore.Open(epochstore.Options{Dir: storeDir, Retain: storeRetain}); err != nil {
-			log.Fatal(err)
-		}
-		if loaded, err = es.LoadLatest(context.Background(), cfg); err != nil {
-			log.Fatal(err)
-		}
-		for _, e := range loaded.Errors {
-			fmt.Fprintf(os.Stderr, "live: epoch store: %s\n", e)
-		}
-		if loaded.Outcome == "cold" {
-			loaded = nil
-		}
+		es, loaded = bootStore(storeDir, storeRetain, cfg)
 	}
 
 	var src ingest.Source
@@ -310,7 +350,10 @@ func runLive(source, warmCube, addr string, drain time.Duration, follow bool, re
 			loaded.Record.Seq, storeDir, 1000*loaded.Seconds, loaded.Outcome,
 			loaded.Record.Fields, loaded.Checkpoint)
 	case warmCube != "":
-		cube := readCube(warmCube)
+		cube, err := epochstore.ReadCorpus(warmCube)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if st, err = ingest.NewStagingFromCube(cube, cfg.Filter); err != nil {
 			log.Fatal(err)
 		}
@@ -529,56 +572,4 @@ func parseByteSize(s string) (int64, error) {
 		return 0, fmt.Errorf("cannot parse %q (want e.g. 4GiB, 512MiB, or bytes)", s)
 	}
 	return n * mult, nil
-}
-
-func readCube(path string) *changecube.Cube {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	cube, err := changecube.ReadBinary(f)
-	if err != nil {
-		log.Fatalf("reading %s: %v", path, err)
-	}
-	return cube
-}
-
-// trainOrLoad loads the model file when it exists; otherwise it trains,
-// and persists the result when a path was given.
-func trainOrLoad(cube *changecube.Cube, modelPath string) (*core.Detector, string, error) {
-	cfg := core.DefaultConfig()
-	if modelPath != "" {
-		if f, err := os.Open(modelPath); err == nil {
-			defer f.Close()
-			hs, stats, err := filter.Apply(cube, cfg.Filter)
-			if err != nil {
-				return nil, "", err
-			}
-			det, err := core.LoadModel(hs, stats, cfg, f)
-			if err != nil {
-				return nil, "", fmt.Errorf("loading %s: %w", modelPath, err)
-			}
-			return det, "loaded model", nil
-		}
-	}
-	det, err := tracedTrain(cube, cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	if modelPath != "" {
-		f, err := os.Create(modelPath)
-		if err != nil {
-			return nil, "", err
-		}
-		if err := det.SaveModel(f); err != nil {
-			f.Close()
-			return nil, "", err
-		}
-		if err := f.Close(); err != nil {
-			return nil, "", err
-		}
-		fmt.Fprintf(os.Stderr, "wrote model to %s\n", modelPath)
-	}
-	return det, "trained", nil
 }

@@ -1,9 +1,10 @@
 // Command wikigen generates a synthetic Wikipedia infobox change corpus
-// and writes it as a binary change cube (and optionally JSON lines).
+// and writes it as a corpus file — the epoch store's snapshot layout with
+// an empty model — and optionally as JSON lines.
 //
 // Usage:
 //
-//	wikigen -o corpus.wcc [-jsonl corpus.jsonl] [-scale small|default]
+//	wikigen -o corpus.snap [-jsonl corpus.jsonl] [-scale small|default]
 //	        [-seed N] [-templates N] [-entities N] [-stubs N]
 package main
 
@@ -14,13 +15,14 @@ import (
 	"os"
 
 	"github.com/wikistale/wikistale/internal/dataset"
+	"github.com/wikistale/wikistale/internal/epochstore"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wikigen: ")
 	var (
-		out       = flag.String("o", "corpus.wcc", "output path for the binary change cube")
+		out       = flag.String("o", "corpus.snap", "output path for the corpus file (an epoch snapshot without a model)")
 		jsonl     = flag.String("jsonl", "", "optional output path for a JSON-lines dump")
 		scale     = flag.String("scale", "default", "base configuration: small or default")
 		seed      = flag.Int64("seed", 1, "generation seed")
@@ -58,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := cube.WriteBinary(f); err != nil {
+	if err := epochstore.WriteCorpus(f, cube); err != nil {
 		log.Fatalf("writing %s: %v", *out, err)
 	}
 	if err := f.Close(); err != nil {

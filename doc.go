@@ -2,7 +2,7 @@
 // in Wikipedia Infoboxes" (Barth et al., EDBT 2023).
 //
 // The implementation lives under internal/: the change-cube data model and
-// its durable store (internal/changecube, internal/cubestore), the wikitext
+// its durable store (internal/changecube, internal/epochstore), the wikitext
 // and MediaWiki-dump ingest (internal/wikitext, internal/revision), the
 // noise-filter pipeline (internal/filter), the field-correlation and
 // association-rule change predictors (internal/correlation,

@@ -1,19 +1,23 @@
 // Dailyops demonstrates the operational loop the paper's deployment
-// requires: a durable change store on disk, a detector trained from it,
-// daily batches of freshly parsed changes committed as segments and
-// ingested into the running detector (predictions see them immediately),
-// and the yearly retraining the paper recommends in §5.3.3.
+// requires: a detector trained from the historical corpus and committed
+// to an epoch store on disk, daily batches of freshly parsed changes
+// ingested into the running detector (predictions see them immediately)
+// and committed as new epochs, and the yearly retraining the paper
+// recommends in §5.3.3. A restarted service boots from the newest epoch
+// (staleserve -store) instead of retraining.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/dataset"
+	"github.com/wikistale/wikistale/internal/epochstore"
+	"github.com/wikistale/wikistale/internal/ingest"
 )
 
 func main() {
@@ -23,40 +27,29 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
+	ctx := context.Background()
 
-	// Day 0: bootstrap the store from the historical corpus.
-	corpus, _, err := dataset.Generate(dataset.Small())
+	// Day 0: train on the historical corpus and commit the first epoch.
+	// Retention keeps only the newest snapshot file on disk.
+	cube, _, err := dataset.Generate(dataset.Small())
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := cubestore.Open(dir)
+	store, err := epochstore.Open(epochstore.Options{Dir: dir, Retain: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Copy dictionaries/entities, then bulk-append the history.
-	cube := store.Cube()
-	for _, name := range corpus.Properties.Names() {
-		cube.Properties.Intern(name)
-	}
-	for e := 0; e < corpus.NumEntities(); e++ {
-		info := corpus.Entity(changecube.EntityID(e))
-		cube.AddEntityNamed(
-			corpus.Templates.Name(int32(info.Template)),
-			corpus.Pages.Name(int32(info.Page)))
-	}
-	store.Append(corpus.Changes()...)
-	if err := store.Commit(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("bootstrapped store: %d changes in %d segment(s)\n",
-		cube.NumChanges(), store.Segments())
-
 	detector, err := core.Train(cube, core.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("trained: %d correlation rules, %d association rules\n",
 		detector.FieldCorrelations().NumRules(), detector.AssociationRules().NumRules())
+	rec, err := store.Snapshot(ctx, detector, ingest.Checkpoint{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("bootstrapped store: epoch %d, %d changes\n", rec.Seq, rec.Changes)
 
 	// Simulated daily operation: a match-day edit arrives where matches is
 	// updated but total_goals is forgotten.
@@ -72,16 +65,18 @@ func main() {
 		Kind:     changecube.Update,
 	}}
 
-	// Durability first, then the in-memory model.
-	store.Append(batch...)
-	if err := store.Commit(); err != nil {
-		log.Fatal(err)
+	// The change joins the corpus and the in-memory model, then the day's
+	// epoch is committed.
+	for _, ch := range batch {
+		cube.Add(ch)
 	}
 	if err := detector.Ingest(batch); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("day %s: committed batch (now %d segments), ingested without retraining\n",
-		today, store.Segments())
+	if rec, err = store.Snapshot(ctx, detector, ingest.Checkpoint{}); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("day %s: ingested without retraining, committed epoch %d\n", today, rec.Seq)
 
 	// The evening stale scan: the brand-new page is already covered by the
 	// template rule learned from other seasons.
@@ -97,15 +92,14 @@ func main() {
 		}
 	}
 
-	// Yearly maintenance: retrain from the accumulated data and compact
-	// the day segments.
+	// Yearly maintenance: retrain from the accumulated data and commit it.
 	retrained, err := detector.Retrain()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := store.Compact(); err != nil {
+	if rec, err = store.Snapshot(ctx, retrained, ingest.Checkpoint{}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("retrained (test split now ends %s); store compacted to %d segment(s)\n",
-		retrained.Splits().Test.End, store.Segments())
+	fmt.Printf("retrained (test split now ends %s); committed epoch %d, %d snapshot file(s) kept\n",
+		retrained.Splits().Test.End, rec.Seq, store.Stats().Files)
 }

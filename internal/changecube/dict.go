@@ -27,28 +27,6 @@ func (d *Dict) Intern(name string) int32 {
 	return id
 }
 
-// Grow pre-sizes the dictionary for at least n interned strings, so a
-// bulk load — a paper-scale corpus interns millions of page titles —
-// pays one allocation instead of a doubling cascade of rehashes. A no-op
-// when the dictionary already holds n strings; safe to call at any time.
-func (d *Dict) Grow(n int) {
-	if cap(d.names) < n {
-		names := make([]string, len(d.names), n)
-		copy(names, d.names)
-		d.names = names
-	}
-	// Maps cannot reserve in place; rebuild with a capacity hint, but only
-	// when the target is far enough beyond the current size that one O(len)
-	// copy beats the incremental rehashes it replaces.
-	if n > 2*len(d.index) {
-		index := make(map[string]int32, n)
-		for name, id := range d.index {
-			index[name] = id
-		}
-		d.index = index
-	}
-}
-
 // Lookup returns the identifier for name and whether it is known.
 func (d *Dict) Lookup(name string) (int32, bool) {
 	id, ok := d.index[name]

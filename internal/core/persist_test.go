@@ -3,23 +3,29 @@ package core
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/eval"
 )
 
+// reload marshals det's model and loads it back over the same data.
+func reload(t *testing.T, det *Detector) *Detector {
+	t.Helper()
+	data, err := det.MarshalModel()
+	if err != nil {
+		t.Fatalf("MarshalModel: %v", err)
+	}
+	loaded, err := LoadModelBytes(det.Histories(), det.FilterStats(), det.cfg, data)
+	if err != nil {
+		t.Fatalf("LoadModelBytes: %v", err)
+	}
+	return loaded
+}
+
 func TestSaveLoadModelRoundTrip(t *testing.T) {
 	det, _ := detector(t)
-	var buf bytes.Buffer
-	if err := det.SaveModel(&buf); err != nil {
-		t.Fatalf("SaveModel: %v", err)
-	}
-	loaded, err := LoadModel(det.Histories(), det.FilterStats(), det.cfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadModel: %v", err)
-	}
+	loaded := reload(t, det)
 	if loaded.FieldCorrelations().NumRules() != det.FieldCorrelations().NumRules() {
 		t.Fatalf("correlation rules %d != %d",
 			loaded.FieldCorrelations().NumRules(), det.FieldCorrelations().NumRules())
@@ -43,14 +49,7 @@ func TestSaveLoadModelRoundTrip(t *testing.T) {
 // one.
 func TestLoadedModelPredictsIdentically(t *testing.T) {
 	det, _ := detector(t)
-	var buf bytes.Buffer
-	if err := det.SaveModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(det.Histories(), det.FilterStats(), det.cfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reload(t, det)
 	opts := eval.Options{Sizes: []int{7, 30}}
 	want, err := det.EvaluateTest(opts)
 	if err != nil {
@@ -117,14 +116,7 @@ func TestMarshalModelBytesRoundTrip(t *testing.T) {
 
 func TestLoadedModelSupportsIngest(t *testing.T) {
 	det, truth := detector(t)
-	var buf bytes.Buffer
-	if err := det.SaveModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(det.Histories(), det.FilterStats(), det.cfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reload(t, det)
 	cs := truth.CaseStudy
 	end := loaded.Histories().Span().End
 	batch := []changecube.Change{{
@@ -150,16 +142,16 @@ func TestLoadedModelSupportsIngest(t *testing.T) {
 
 func TestLoadModelRejectsGarbage(t *testing.T) {
 	det, _ := detector(t)
-	if _, err := LoadModel(det.Histories(), det.FilterStats(), det.cfg,
-		strings.NewReader("not json")); err == nil {
+	if _, err := LoadModelBytes(det.Histories(), det.FilterStats(), det.cfg,
+		[]byte("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := LoadModel(det.Histories(), det.FilterStats(), det.cfg,
-		strings.NewReader(`{"version": 99}`)); err == nil {
+	if _, err := LoadModelBytes(det.Histories(), det.FilterStats(), det.cfg,
+		[]byte(`{"version": 99}`)); err == nil {
 		t.Fatal("future version accepted")
 	}
 	// A model whose rules reference entities this cube does not have.
-	if _, err := LoadModel(det.Histories(), det.FilterStats(), det.cfg, strings.NewReader(
+	if _, err := LoadModelBytes(det.Histories(), det.FilterStats(), det.cfg, []byte(
 		`{"version":1,"correlation_rules":[{"A":{"Entity":99999999,"Property":0},"B":{"Entity":0,"Property":0},"Distance":0}]}`)); err == nil {
 		t.Fatal("model for a different cube accepted")
 	}

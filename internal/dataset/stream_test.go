@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/wikistale/wikistale/internal/cubestore"
+	"github.com/wikistale/wikistale/internal/changecube"
 )
 
 // TestStreamMatchesGenerate: the streamed corpus, fed through the same
@@ -43,8 +43,8 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		t.Fatalf("largest batch holds %d of %d events; batches must stay entity-sized", maxBatch, events)
 	}
 
-	want := cubestore.EncodeCubeChanges(batchCube)
-	got := cubestore.EncodeCubeChanges(sink.cube)
+	want := changecube.EncodeCubeChanges(batchCube)
+	got := changecube.EncodeCubeChanges(sink.cube)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("streamed corpus differs from batch corpus: %d vs %d encoded bytes", len(got), len(want))
 	}

@@ -21,6 +21,10 @@
 // and load walks records newest-first, falling back past corrupt or
 // missing snapshots and reporting a cold start only when none is loadable.
 //
+// The snapshot is the repository's only durable format: a corpus file
+// (WriteCorpus, ReadCorpus) is a snapshot with an empty model, no filter
+// stages and no histories, kept outside any store.
+//
 // Retention: superseded snapshot files beyond Options.Retain are deleted
 // after each commit, and the log itself is compacted (rewritten to the
 // newest Retain records via temp + rename) once it accumulates well more

@@ -3,6 +3,7 @@ package epochstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/ingest"
@@ -97,6 +99,36 @@ func openStore(t *testing.T, dir string, retain int) *Store {
 	return s
 }
 
+// encodeEpoch encodes a detector's epoch as Snapshot would.
+func encodeEpoch(t testing.TB, det *core.Detector, ordinals []int, quality []byte) []byte {
+	t.Helper()
+	parts, err := epochPayload(det, ordinals, quality)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodeSnapshot(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// hugeValueSnapshot is a corpus snapshot, valid but for one change whose
+// value length is 2^63+15 — negative as an int, which once slipped past
+// the change decoder's bounds check and panicked.
+func hugeValueSnapshot() []byte {
+	changes := binary.AppendUvarint([]byte("WCS1"), 1)
+	changes = append(changes, 0, 0, 0, byte(changecube.Update)) // time delta, entity, property, kind
+	changes = binary.AppendUvarint(changes, 1<<63+15)
+	changes = append(changes, "value"...)
+	buf := append([]byte(snapMagic), snapVersion, 0)   // empty model
+	buf = append(buf, 1, 1, 'p', 1, 1, 't', 1, 1, 'g') // one property, template, page
+	buf = append(buf, 1, 0, 0, 0)                      // one entity, ordinal 0
+	buf = binary.AppendUvarint(buf, uint64(len(changes)))
+	buf = append(buf, changes...)
+	return append(buf, 0, 0, 0) // no stages, histories or quality
+}
+
 // TestSnapshotLoadRoundTrip: an epoch loaded back from the store must
 // detect identically to the one snapshotted, and re-snapshotting the
 // loaded epoch must produce a byte-identical payload (the bit-identity
@@ -162,6 +194,50 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 	}
 	if stats.LastLoadSec <= 0 {
 		t.Fatal("load duration not recorded in stats")
+	}
+}
+
+// TestBatchBoot: batch mode commits a freshly trained detector with a
+// zero checkpoint; a restart on the same store serves that detector
+// without retraining.
+func TestBatchBoot(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cube, _, err := dataset.Generate(tinyCorpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := core.Train(cube, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+	if _, err := openStore(t, dir, 0).Snapshot(ctx, det, ingest.Checkpoint{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := openStore(t, dir, 0).LoadLatest(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != "latest" {
+		t.Fatalf("outcome %q (errors %v), want latest", res.Outcome, res.Errors)
+	}
+	want, err := det.MarshalModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := res.Detector.MarshalModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatal("booted model differs from the trained one")
+	}
+	end := det.Splits().Test.End
+	for _, window := range []int{1, 7, 30, 365} {
+		if !reflect.DeepEqual(res.Detector.DetectStale(end, window), det.DetectStale(end, window)) {
+			t.Fatalf("DetectStale(split end, %d) differs after boot", window)
+		}
 	}
 }
 
@@ -412,10 +488,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 // panic, never half-load.
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	det, cp, _ := trainEpoch(t)
-	payload, err := encodeSnapshot(det, cp.Ordinals, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encodeEpoch(t, det, cp.Ordinals, nil)
 	if _, err := decodeSnapshot(payload); err != nil {
 		t.Fatalf("valid payload rejected: %v", err)
 	}
@@ -436,6 +509,16 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	}
 	if _, err := decodeSnapshot(append(append([]byte(nil), payload...), 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	// An ordinal counts entities sharing a (page, template) pair, so it is
+	// always below the entity count.
+	ords := append([]int(nil), cp.Ordinals...)
+	ords[0] = len(ords)
+	if _, err := decodeSnapshot(encodeEpoch(t, det, ords, nil)); err == nil {
+		t.Fatal("entity ordinal equal to the entity count accepted")
+	}
+	if _, err := decodeSnapshot(hugeValueSnapshot()); err == nil {
+		t.Fatal("change value length beyond the payload accepted")
 	}
 }
 
@@ -487,12 +570,10 @@ func FuzzEpochLogDecode(f *testing.F) {
 // which panics on out-of-range references.
 func FuzzSnapshotDecode(f *testing.F) {
 	det, cp, _ := trainEpoch(f)
-	payload, err := encodeSnapshot(det, cp.Ordinals, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	payload := encodeEpoch(f, det, cp.Ordinals, nil)
 	f.Add(payload)
 	f.Add(payload[:len(payload)/2])
+	f.Add(hugeValueSnapshot())
 	f.Add([]byte("WES1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

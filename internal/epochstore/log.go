@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/ingest"
 )
 
@@ -228,9 +227,23 @@ func (s *Store) compactLocked() error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	if err := cubestore.SyncDir(s.dir); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		return err
 	}
 	s.records = append([]Record(nil), keep...)
 	return nil
+}
+
+// syncDir fsyncs a directory so renames and newly created names in it
+// survive a power failure.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

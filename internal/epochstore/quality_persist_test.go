@@ -71,10 +71,7 @@ func TestSnapshotWithoutQualitySource(t *testing.T) {
 // this one.
 func TestSnapshotVersion1BackCompat(t *testing.T) {
 	det, cp, _ := trainEpoch(t)
-	payload, err := encodeSnapshot(det, cp.Ordinals, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encodeEpoch(t, det, cp.Ordinals, nil)
 	// A v2 payload with an empty quality section is byte-wise a v1 payload
 	// plus the version byte and one zero-length uvarint: rewrite both.
 	v1 := append([]byte(nil), payload[:len(payload)-1]...)
@@ -97,10 +94,7 @@ func TestSnapshotVersion1BackCompat(t *testing.T) {
 func TestSnapshotQualityOpaque(t *testing.T) {
 	det, cp, _ := trainEpoch(t)
 	blob := []byte("not a real scorer state \x00\xff")
-	payload, err := encodeSnapshot(det, cp.Ordinals, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encodeEpoch(t, det, cp.Ordinals, blob)
 	p, err := decodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)

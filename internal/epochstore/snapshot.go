@@ -12,7 +12,6 @@ import (
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/filter"
 	"github.com/wikistale/wikistale/internal/ingest"
 	"github.com/wikistale/wikistale/internal/obs"
@@ -32,7 +31,10 @@ const (
 
 func snapName(seq uint64) string { return fmt.Sprintf("ep-%08d.snap", seq) }
 
-// snapshotPayload is the decoded content of a snapshot file.
+// snapshotPayload is the content of a snapshot file: what encodeSnapshot
+// writes and decodeSnapshot returns. A model epoch fills every part; a
+// corpus file is a cube alone — empty model, no filter stages, no
+// histories, sequential ordinals.
 type snapshotPayload struct {
 	model     []byte
 	cube      *changecube.Cube
@@ -44,21 +46,36 @@ type snapshotPayload struct {
 	quality []byte
 }
 
-// encodeSnapshot serializes an epoch: the detector's model JSON, the three
-// interned dictionaries, the entity table with infobox ordinals, and the
-// cube's changes in canonical order (cubestore's segment codec). The cube
-// is cloned before sorting so a detector serving from it is never
-// disturbed; the canonical order makes the encoding deterministic for a
-// given corpus regardless of arrival order.
-func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte, error) {
+// epochPayload gathers a detector's parts for encodeSnapshot. The cube is
+// cloned, because encoding sorts it and a detector serving from the
+// original must never be disturbed.
+func epochPayload(det *core.Detector, ordinals []int, quality []byte) (*snapshotPayload, error) {
 	model, err := det.MarshalModel()
 	if err != nil {
 		return nil, fmt.Errorf("epochstore: marshaling model: %w", err)
 	}
-	cube := det.Histories().Cube().Clone()
+	return &snapshotPayload{
+		model:     model,
+		cube:      det.Histories().Cube().Clone(),
+		ordinals:  ordinals,
+		stats:     det.FilterStats(),
+		histories: det.Histories().Histories(), // sorted by field (NewHistorySet)
+		quality:   quality,
+	}, nil
+}
+
+// encodeSnapshot serializes a payload: the model JSON, the three interned
+// dictionaries, the entity table with infobox ordinals, the cube's
+// changes in canonical order (changecube's change codec; the cube is
+// sorted in place), the filter stages, the histories and the quality
+// state. The canonical order makes the encoding deterministic for a
+// given corpus regardless of arrival order.
+func encodeSnapshot(p *snapshotPayload) ([]byte, error) {
+	cube, ordinals := p.cube, p.ordinals
 	if ordinals == nil {
-		// No checkpoint ordinals (a snapshot outside the live loop):
-		// first-seen sequential numbering, matching NewStagingFromCube.
+		// No checkpoint ordinals (a snapshot outside the live loop, or a
+		// corpus): first-seen sequential numbering, matching
+		// NewStagingFromCube.
 		ordinals = sequentialOrdinals(cube)
 	}
 	if len(ordinals) != cube.NumEntities() {
@@ -68,8 +85,8 @@ func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte,
 	var buf []byte
 	buf = append(buf, snapMagic...)
 	buf = append(buf, snapVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(model)))
-	buf = append(buf, model...)
+	buf = binary.AppendUvarint(buf, uint64(len(p.model)))
+	buf = append(buf, p.model...)
 	for _, dict := range []*changecube.Dict{cube.Properties, cube.Templates, cube.Pages} {
 		names := dict.Names()
 		buf = binary.AppendUvarint(buf, uint64(len(names)))
@@ -85,7 +102,7 @@ func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte,
 		buf = binary.AppendUvarint(buf, uint64(info.Page))
 		buf = binary.AppendUvarint(buf, uint64(ordinals[e]))
 	}
-	changes := cubestore.EncodeCubeChanges(cube)
+	changes := changecube.EncodeCubeChanges(cube)
 	buf = binary.AppendUvarint(buf, uint64(len(changes)))
 	buf = append(buf, changes...)
 
@@ -95,17 +112,15 @@ func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte,
 	// the histories persisted, boot builds the HistorySet straight off the
 	// decoded cube and serves. (Stage durations are not kept — stats from
 	// a staging buffer never have them anyway.)
-	stats := det.FilterStats()
-	buf = binary.AppendUvarint(buf, uint64(len(stats.Stages)))
-	for _, sg := range stats.Stages {
+	buf = binary.AppendUvarint(buf, uint64(len(p.stats.Stages)))
+	for _, sg := range p.stats.Stages {
 		buf = binary.AppendUvarint(buf, uint64(len(sg.Name)))
 		buf = append(buf, sg.Name...)
 		buf = binary.AppendUvarint(buf, uint64(sg.In))
 		buf = binary.AppendUvarint(buf, uint64(sg.Out))
 	}
-	hists := det.Histories().Histories() // sorted by field (NewHistorySet)
-	buf = binary.AppendUvarint(buf, uint64(len(hists)))
-	for _, h := range hists {
+	buf = binary.AppendUvarint(buf, uint64(len(p.histories)))
+	for _, h := range p.histories {
 		buf = binary.AppendUvarint(buf, uint64(h.Field.Entity))
 		buf = binary.AppendUvarint(buf, uint64(h.Field.Property))
 		buf = binary.AppendUvarint(buf, uint64(h.Len()))
@@ -115,8 +130,8 @@ func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte,
 	}
 	// v2: the quality scorer's opaque state, length-prefixed. The store
 	// does not interpret it — the scorer's own magic/version live inside.
-	buf = binary.AppendUvarint(buf, uint64(len(quality)))
-	buf = append(buf, quality...)
+	buf = binary.AppendUvarint(buf, uint64(len(p.quality)))
+	buf = append(buf, p.quality...)
 	return buf, nil
 }
 
@@ -196,7 +211,7 @@ func decodeSnapshot(data []byte) (*snapshotPayload, error) {
 		if template >= uint64(cube.Templates.Len()) || page >= uint64(cube.Pages.Len()) {
 			return nil, fmt.Errorf("epochstore: snapshot: entity %d references template %d / page %d out of range", i, template, page)
 		}
-		if ord > uint64(entities) {
+		if ord >= uint64(entities) {
 			return nil, fmt.Errorf("epochstore: snapshot: entity %d ordinal %d out of range", i, ord)
 		}
 		cube.AddEntity(changecube.TemplateID(template), changecube.PageID(page))
@@ -292,7 +307,7 @@ func decodeSnapshot(data []byte) (*snapshotPayload, error) {
 	if r.pos != len(data) {
 		return nil, fmt.Errorf("epochstore: snapshot: %d trailing bytes", len(data)-r.pos)
 	}
-	_, err = cubestore.DecodeChanges(changes, func(ch changecube.Change) error {
+	_, err = changecube.DecodeChanges(changes, func(ch changecube.Change) error {
 		if int(ch.Entity) >= cube.NumEntities() || ch.Entity < 0 {
 			return fmt.Errorf("entity %d out of range", ch.Entity)
 		}
@@ -397,7 +412,11 @@ func (s *Store) snapshot(det *core.Detector, cp ingest.Checkpoint) (Record, erro
 	if src := s.qualitySource; src != nil {
 		qual = src()
 	}
-	payload, err := encodeSnapshot(det, cp.Ordinals, qual)
+	parts, err := epochPayload(det, cp.Ordinals, qual)
+	if err != nil {
+		return Record{}, err
+	}
+	payload, err := encodeSnapshot(parts)
 	if err != nil {
 		return Record{}, err
 	}
@@ -425,7 +444,7 @@ func (s *Store) snapshot(det *core.Detector, cp ingest.Checkpoint) (Record, erro
 	if err := os.Rename(tmp, path); err != nil {
 		return Record{}, fmt.Errorf("epochstore: %s: %w", name, err)
 	}
-	if err := cubestore.SyncDir(s.dir); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		return Record{}, fmt.Errorf("epochstore: %s: %w", name, err)
 	}
 	cube := det.Histories().Cube()

@@ -187,7 +187,7 @@ func TestEventValidate(t *testing.T) {
 	}
 }
 
-// FuzzReadJSONL mirrors changecube.FuzzReadBinary for the streaming
+// FuzzReadJSONL mirrors the epoch store's FuzzSnapshotDecode for the streaming
 // format: arbitrary bytes must either parse into events that re-encode
 // cleanly or fail with an error — never panic.
 func FuzzReadJSONL(f *testing.F) {
