@@ -11,6 +11,12 @@
 #      double-applying events: once its feed settles, the staged change
 #      count equals an uninterrupted run's.
 #
+# A batch leg then proves the same restart contract without a feed:
+# wikigen writes a small corpus file, a batch staleserve with -store
+# trains on it and commits one epoch, and its restart on the same store
+# must boot with recovery outcome "latest" and serve a byte-identical
+# /v1/stale body.
+#
 # CI runs this as the "cold-start smoke" step; locally: `make coldsmoke`.
 #
 # Environment knobs:
@@ -24,13 +30,15 @@ ADDR=${ADDR:-:8098}
 BOOT_BUDGET_MS=${BOOT_BUDGET_MS:-2000}
 PORT=${ADDR##*:}
 STORE=$(mktemp -d coldsmoke.store.XXXXXX)
+BATCH=$(mktemp -d coldsmoke.store.XXXXXX) # corpus.snap + store/ of the batch leg
 
 go build -o staleserve.bin ./cmd/staleserve
+go build -o wikigen.bin ./cmd/wikigen
 
 SRV=""
 cleanup() {
   [ -n "$SRV" ] && kill "$SRV" 2>/dev/null || true
-  rm -rf staleserve.bin "$STORE"
+  rm -rf staleserve.bin wikigen.bin "$STORE" "$BATCH"
 }
 trap cleanup EXIT
 
@@ -123,4 +131,47 @@ RESUMED_CHANGES=$(mon /v1/ingest/stats | jq -r '.staging.changes')
   exit 1
 }
 
-echo "cold-start smoke OK: ready in ${ready_ms}ms, epoch load ${LOAD_S}s, ${RESUMED_CHANGES} changes after resume (= full run)"
+kill "$SRV"
+wait "$SRV" 2>/dev/null || true
+SRV=""
+echo "live leg OK: ready in ${ready_ms}ms, epoch load ${LOAD_S}s, ${RESUMED_CHANGES} changes after resume (= full run)"
+
+# ---- Batch leg: train on a corpus file, commit, restart from the store. --
+recovered() { # recovered <outcome> — the boot outcome counter is set
+  mon /metrics?format=json | jq -e --arg o "$1" '
+    ([.wikistale_epochstore_recovery_total.series[]?
+      | select(.labels.outcome == $o) | .value] | add // 0) >= 1
+  ' > /dev/null
+}
+batch_boot() { # batch_boot <log> — start a batch server, wait until ready
+  ./staleserve.bin -i "$BATCH/corpus.snap" -store "$BATCH/store" \
+    -addr "$ADDR" -log-format json 2>"$1" &
+  SRV=$!
+  i=0
+  until [ "$(mon /readyz | jq -r '.ready' 2>/dev/null)" = true ]; do
+    i=$((i + 1))
+    [ "$i" -le 600 ] || { echo "FAIL: batch server never ready"; cat "$1"; exit 1; }
+    kill -0 "$SRV" 2>/dev/null || { echo "FAIL: batch server died early"; cat "$1"; exit 1; }
+    sleep 0.1
+  done
+}
+
+./wikigen.bin -scale small -o "$BATCH/corpus.snap" > /dev/null
+batch_boot server3.log
+recovered cold || { echo "FAIL: first batch boot did not start cold"; cat server3.log; exit 1; }
+[ "$(ls "$BATCH"/store/ep-*.snap | wc -l)" -eq 1 ] || {
+  echo "FAIL: first batch boot did not commit exactly one epoch"; ls -l "$BATCH/store"; exit 1; }
+mon "/v1/stale?window=7" > "$BATCH/stale1.json" || { echo "FAIL: /v1/stale on the first batch boot"; exit 1; }
+kill "$SRV"
+wait "$SRV" 2>/dev/null || true
+SRV=""
+
+batch_boot server4.log
+recovered latest || { echo "FAIL: batch restart did not boot the latest epoch"; cat server4.log; exit 1; }
+mon "/v1/stale?window=7" > "$BATCH/stale2.json" || { echo "FAIL: /v1/stale on the batch restart"; exit 1; }
+jq -e '.alerts | length > 0' "$BATCH/stale1.json" > /dev/null || {
+  echo "FAIL: first batch boot served no alerts"; cat "$BATCH/stale1.json"; exit 1; }
+cmp -s "$BATCH/stale1.json" "$BATCH/stale2.json" || {
+  echo "FAIL: batch restart serves a different /v1/stale body"; exit 1; }
+
+echo "cold-start smoke OK: live restart ready in ${ready_ms}ms (epoch load ${LOAD_S}s, exact resume); batch restart booted the latest epoch and served $(jq '.alerts | length' "$BATCH/stale2.json") identical alerts"
