@@ -2,10 +2,9 @@ package apriori
 
 import (
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
+
+	"github.com/wikistale/wikistale/internal/par"
 )
 
 // vertical is the TID-bitmap layout of a transaction set (Zaki's Eclat
@@ -90,66 +89,39 @@ const parallelCountThreshold = 1 << 14
 // work is scheduled across workers.
 func (v *vertical) countCandidates(candidates []Itemset) []int {
 	counts := make([]int, len(candidates))
-	workers := runtime.GOMAXPROCS(0)
+	grain := countWorkGrain
 	if len(candidates)*v.words < parallelCountThreshold {
-		workers = 1
+		// One chunk: the calling goroutine counts everything.
+		grain = len(candidates)
 	}
-	if max := (len(candidates) + countWorkGrain - 1) / countWorkGrain; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		v.countRange(candidates, 0, len(candidates), counts, make([]uint64, v.words))
-		return counts
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := make([]uint64, v.words)
-			for {
-				start := int(next.Add(countWorkGrain)) - countWorkGrain
-				if start >= len(candidates) {
-					return
-				}
-				end := start + countWorkGrain
-				if end > len(candidates) {
-					end = len(candidates)
-				}
-				v.countRange(candidates, start, end, counts, scratch)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(candidates), grain, func() func(int) {
+		scratch := make([]uint64, v.words)
+		return func(i int) { counts[i] = v.support(candidates[i], scratch) }
+	})
 	return counts
 }
 
-// countRange counts candidates[lo:hi] into counts, using scratch (words
-// long) for the k>2 AND fold.
-func (v *vertical) countRange(candidates []Itemset, lo, hi int, counts []int, scratch []uint64) {
-	for i := lo; i < hi; i++ {
-		c := candidates[i]
-		if len(c) == 2 {
-			a, b := v.bits[c[0]], v.bits[c[1]]
-			n := 0
-			for w := range a {
-				n += bits.OnesCount64(a[w] & b[w])
-			}
-			counts[i] = n
-			continue
-		}
-		copy(scratch, v.bits[c[0]])
-		for _, d := range c[1:] {
-			bm := v.bits[d]
-			for w := range scratch {
-				scratch[w] &= bm[w]
-			}
-		}
+// support counts one candidate, using scratch (words long) for the k>2
+// AND fold.
+func (v *vertical) support(c Itemset, scratch []uint64) int {
+	if len(c) == 2 {
+		a, b := v.bits[c[0]], v.bits[c[1]]
 		n := 0
-		for _, w := range scratch {
-			n += bits.OnesCount64(w)
+		for w := range a {
+			n += bits.OnesCount64(a[w] & b[w])
 		}
-		counts[i] = n
+		return n
 	}
+	copy(scratch, v.bits[c[0]])
+	for _, d := range c[1:] {
+		bm := v.bits[d]
+		for w := range scratch {
+			scratch[w] &= bm[w]
+		}
+	}
+	n := 0
+	for _, w := range scratch {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/dataset"
@@ -232,6 +234,43 @@ func TestGridSearchTheta(t *testing.T) {
 	}
 	if _, ok := BestTheta(results, 1.01); ok {
 		t.Fatal("impossible precision target satisfied")
+	}
+}
+
+// TestGridSearchThetaGoroutinesWithinBudget samples the goroutine count
+// while the theta grid runs at GOMAXPROCS=4. Each grid point trains a
+// correlation predictor and evaluates it, both parallel loops nested in
+// the grid's; they share one budget, so the grid may add at most
+// GOMAXPROCS-1 goroutines however the loops nest.
+func TestGridSearchThetaGoroutinesWithinBudget(t *testing.T) {
+	det, _ := detector(t)
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			select {
+			case <-stop:
+				peak <- most
+				return
+			default:
+				most = max(most, runtime.NumGoroutine())
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	}()
+	base := runtime.NumGoroutine() // includes the sampler
+	_, err := GridSearchTheta(det.Histories(), det.Splits(),
+		[]float64{0.01, 0.05, 0.1, 0.15}, det.cfg.Correlation, 1)
+	close(stop)
+	extra := <-peak - base
+	if err != nil {
+		t.Fatal(err)
+	}
+	if extra > procs-1 {
+		t.Fatalf("grid search peaked at %d extra goroutines, budget %d", extra, procs-1)
 	}
 }
 

@@ -2,14 +2,13 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"github.com/wikistale/wikistale/internal/assocrules"
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/correlation"
 	"github.com/wikistale/wikistale/internal/eval"
 	"github.com/wikistale/wikistale/internal/obs"
+	"github.com/wikistale/wikistale/internal/par"
 	"github.com/wikistale/wikistale/internal/predict"
 )
 
@@ -22,40 +21,16 @@ type ThetaResult struct {
 	Counts   eval.Counts
 }
 
-// gridWorkers bounds the worker pool for a grid of n points.
-func gridWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runGrid evaluates n independent grid points on a bounded worker pool.
-// Results land at their point's index, so the output order is the grid
-// order regardless of scheduling; the first error (by index) wins.
+// runGrid evaluates n independent grid points as one par.For loop, one
+// point per chunk. A point's training and evaluation loops nest inside it
+// and share the same budget. Results land at their point's index, so the
+// output order is the grid order regardless of scheduling; the first error
+// (by index) wins.
 func runGrid(n int, point func(i int) error) error {
-	workers := gridWorkers(n)
 	errs := make([]error, n)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = point(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	par.For(n, 1, func() func(int) {
+		return func(i int) { errs[i] = point(i) }
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -67,9 +42,9 @@ func runGrid(n int, point func(i int) error) error {
 // GridSearchTheta sweeps the correlation error threshold θ, evaluating
 // each candidate on the validation year at the given window size (the
 // paper tunes on daily windows). The base config supplies the remaining
-// correlation settings. Grid points run concurrently on a bounded worker
-// pool; the ground-truth window rows of the validation split are
-// precomputed once and shared read-only across all points.
+// correlation settings. Grid points run concurrently on the shared
+// training budget; the ground-truth window rows of the validation split
+// are precomputed once and shared read-only across all points.
 func GridSearchTheta(hs *changecube.HistorySet, splits Splits, thetas []float64,
 	base correlation.Config, windowSize int) ([]ThetaResult, error) {
 	if len(thetas) == 0 {
@@ -86,10 +61,8 @@ func GridSearchTheta(hs *changecube.HistorySet, splits Splits, thetas []float64,
 		if err != nil {
 			return fmt.Errorf("core: theta %v: %w", thetas[i], err)
 		}
-		// Workers: 1 — the pool already saturates the machine across
-		// points; nesting evaluation parallelism only adds contention.
 		report, err := eval.Evaluate(hs, splits.Validation, []predict.Predictor{p},
-			eval.Options{Sizes: []int{windowSize}, Workers: 1, Rows: rows})
+			eval.Options{Sizes: []int{windowSize}, Rows: rows})
 		if err != nil {
 			return fmt.Errorf("core: theta %v: %w", thetas[i], err)
 		}
@@ -135,8 +108,8 @@ type AprioriResult struct {
 
 // GridSearchApriori sweeps min-support, min-confidence and the size of the
 // rule-validation slice, scoring each combination on the validation year.
-// Like GridSearchTheta it runs the grid points on a bounded worker pool
-// and shares the precomputed ground-truth window rows across points.
+// Like GridSearchTheta it runs the grid points concurrently and shares the
+// precomputed ground-truth window rows across points.
 func GridSearchApriori(hs *changecube.HistorySet, splits Splits,
 	supports, confidences, valFractions []float64,
 	base assocrules.Config, windowSize int) ([]AprioriResult, error) {
@@ -173,7 +146,7 @@ func GridSearchApriori(hs *changecube.HistorySet, splits Splits,
 			return fmt.Errorf("core: apriori grid (%v,%v,%v): %w", pt.sup, pt.conf, pt.vf, err)
 		}
 		report, err := eval.Evaluate(hs, splits.Validation, []predict.Predictor{p},
-			eval.Options{Sizes: []int{windowSize}, Workers: 1, Rows: rows})
+			eval.Options{Sizes: []int{windowSize}, Rows: rows})
 		if err != nil {
 			return err
 		}

@@ -10,20 +10,20 @@
 // quadratic pairwise search is pruned with a day→field inverted index —
 // two fields sharing no change day (within the tolerance) have distance
 // exactly 1 and can never clear θ ∈ (0, 1], so only co-changing pairs are
-// visited. Pages run on a bounded worker pool; incremental retraining
-// (incremental.go) additionally reuses untouched pages' rules.
+// visited. Pages run in parallel on the process-wide training budget
+// (internal/par); incremental retraining (incremental.go) additionally
+// reuses untouched pages' rules.
 package correlation
 
 import (
 	"fmt"
 	"log"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/obs"
+	"github.com/wikistale/wikistale/internal/par"
 	"github.com/wikistale/wikistale/internal/predict"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -211,12 +211,12 @@ type searchResult struct {
 	pagesSkipped  int
 }
 
-// searchPages runs the per-page pairwise search on a bounded worker pool
-// (the same pull-from-a-channel shape as core's grid runner, so page-size
-// skew cannot idle workers). When dirty is non-nil, pages it reports clean
-// take their rules from prevByPage instead of being searched — the
-// incremental path; callers guarantee the reuse is sound. Results land in
-// page order, so the output is deterministic regardless of scheduling.
+// searchPages runs the per-page pairwise search as one par.For loop with
+// one page per chunk, so page-size skew cannot idle a goroutine. When dirty
+// is non-nil, pages it reports clean take their rules from prevByPage
+// instead of being searched — the incremental path; callers guarantee the
+// reuse is sound. Results land in page order, so the output is
+// deterministic regardless of scheduling.
 func searchPages(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 	dirty func(changecube.PageID) bool, prevByPage map[changecube.PageID][]Rule) searchResult {
 	histories := hs.Histories()
@@ -229,42 +229,29 @@ func searchPages(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 
 	tspan := obs.StartSpan("train/correlation_search")
 	perPage := make([][]Rule, len(pages))
-	var skipped atomic.Int64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s pageScratch
-			for i := range next {
-				rules, skip := pageRules(&s, histories, byPage[pages[i]], span, cfg)
-				if skip {
-					skipped.Add(1)
-				}
-				perPage[i] = rules
-			}
-		}()
-	}
 	res := searchResult{pagesTotal: len(pages)}
+	search := make([]int, 0, len(pages))
 	for i, page := range pages {
 		if dirty != nil && !dirty(page) {
 			perPage[i] = prevByPage[page]
 			res.pagesReused++
 			continue
 		}
-		res.pagesSearched++
-		next <- i
+		search = append(search, i)
 	}
-	close(next)
-	wg.Wait()
+	res.pagesSearched = len(search)
+	var skipped atomic.Int64
+	par.For(len(search), 1, func() func(int) {
+		var s pageScratch
+		return func(k int) {
+			i := search[k]
+			rules, skip := pageRules(&s, histories, byPage[pages[i]], span, cfg)
+			if skip {
+				skipped.Add(1)
+			}
+			perPage[i] = rules
+		}
+	})
 	tspan.End()
 
 	res.pagesSkipped = int(skipped.Load())

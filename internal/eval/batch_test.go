@@ -123,8 +123,8 @@ func paperPredictors(t *testing.T, hs *changecube.HistorySet) []predict.Predicto
 }
 
 // TestEvaluateBatchScalarParity is the evaluation's determinism contract:
-// shared precomputed rows and any worker count must all produce the same
-// report, bit for bit.
+// shared precomputed rows and any processor count must all produce the
+// same report, bit for bit.
 func TestEvaluateBatchScalarParity(t *testing.T) {
 	hs := richSet(t)
 	split := timeline.NewSpan(120, 240)
@@ -135,9 +135,7 @@ func TestEvaluateBatchScalarParity(t *testing.T) {
 		ByTemplateSize: 7,
 		OverlapPairs:   [][2]int{{0, 1}, {0, 6}},
 	}
-	batch1 := opts
-	batch1.Workers = 1
-	ref, err := Evaluate(hs, split, predictors, batch1)
+	ref, err := evaluateAtProcs(1, hs, split, predictors, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,25 +144,23 @@ func TestEvaluateBatchScalarParity(t *testing.T) {
 		t.Fatalf("correlation predictor never fired; corpus too weak: %+v", c)
 	}
 
-	batchN := opts
-	batchN.Workers = 8
 	withRows := opts
-	withRows.Workers = 4
 	withRows.Rows = predict.PrecomputeRows(hs, split, opts.Sizes)
 	runs := []struct {
-		name string
-		opts Options
+		name  string
+		procs int
+		opts  Options
 	}{
-		{"workers=8", batchN},
-		{"shared rows workers=4", withRows},
+		{"GOMAXPROCS=8", 8, opts},
+		{"shared rows GOMAXPROCS=4", 4, withRows},
 	}
 	for _, run := range runs {
-		got, err := Evaluate(hs, split, predictors, run.opts)
+		got, err := evaluateAtProcs(run.procs, hs, split, predictors, run.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", run.name, err)
 		}
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("%s: report differs from the workers=1 reference", run.name)
+			t.Errorf("%s: report differs from the GOMAXPROCS=1 reference", run.name)
 		}
 	}
 }

@@ -10,11 +10,11 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/obs"
+	"github.com/wikistale/wikistale/internal/par"
 	"github.com/wikistale/wikistale/internal/predict"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -93,8 +93,6 @@ type Options struct {
 	// drill-down view for diagnosing which templates drive precision
 	// loss.
 	ByTemplateSize int
-	// Workers bounds evaluation parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// Rows optionally supplies precomputed per-window change rows built by
 	// predict.PrecomputeRows over the same observed set and split. Grid
 	// searches share one index across grid points so the ground-truth
@@ -128,6 +126,9 @@ type Report struct {
 func OverlapKey(a, b string, size int) string {
 	return fmt.Sprintf("%s|%s/%d", a, b, size)
 }
+
+// evalChunks is how many runs of fields an evaluation is cut into.
+const evalChunks = 64
 
 // Evaluate runs every predictor over every field and window of the split.
 // The observed set plays two roles, exactly as in the paper: it is the
@@ -179,38 +180,32 @@ func Evaluate(observed *changecube.HistorySet, split timeline.Span, predictors [
 		seen[names[i]] = true
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	histories := observed.Histories()
-	if workers > len(histories) {
-		workers = len(histories)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	windowsBySize := make(map[int][]timeline.Window, len(sizes))
 	for _, s := range sizes {
 		windowsBySize[s] = timeline.Tumbling(split, s)
 	}
 
+	// The fields are cut into evalChunks contiguous runs, so a page's
+	// fields, whose rows are each other's evidence, are scored by one
+	// goroutine. Each goroutine taking part keeps its own window sets
+	// across its runs and tallies into its own partial report; the
+	// partials are integer sums, merged below in any order.
 	span := obs.StartSpan("eval/evaluate")
-	partials := make([]*Report, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	chunks := min(evalChunks, len(histories))
+	var mu sync.Mutex
+	var partials []*Report
+	par.For(chunks, 1, func() func(int) {
 		part := newReport(split, names, opts, windowsBySize)
-		partials[w] = part
-		lo := w * len(histories) / workers
-		hi := (w + 1) * len(histories) / workers
-		wg.Add(1)
-		go func(part *Report, chunk []changecube.History) {
-			defer wg.Done()
-			evalChunk(part, observed, chunk, predictors, names, sizes, opts)
-		}(part, histories[lo:hi])
-	}
-	wg.Wait()
+		mu.Lock()
+		partials = append(partials, part)
+		mu.Unlock()
+		sets := make(map[int]*predict.WindowSet, len(sizes))
+		return func(c int) {
+			lo, hi := c*len(histories)/chunks, (c+1)*len(histories)/chunks
+			evalChunk(part, sets, observed, histories[lo:hi], predictors, names, sizes, opts)
+		}
+	})
 	span.End()
 
 	report := newReport(split, names, opts, windowsBySize)
@@ -296,17 +291,21 @@ func containsSize(sizes []int, s int) bool {
 	return false
 }
 
-// evalChunk scores one worker's share of the fields. For each window size
-// it builds a predict.WindowSet (per-window change rows, one sorted merge
-// per field) and asks every predictor for a whole row of predictions at
-// once.
-func evalChunk(part *Report, observed *changecube.HistorySet, chunk []changecube.History,
-	predictors []predict.Predictor, names []string, sizes []int, opts Options) {
+// evalChunk scores one chunk of the fields into part. For each window size
+// it takes the goroutine's predict.WindowSet from sets, building it on first
+// use (per-window change rows, one sorted merge per field), and asks every
+// predictor for a whole row of predictions at once.
+func evalChunk(part *Report, sets map[int]*predict.WindowSet, observed *changecube.HistorySet,
+	chunk []changecube.History, predictors []predict.Predictor, names []string, sizes []int, opts Options) {
 
 	cube := observed.Cube()
 	rows := make([][]bool, len(predictors))
 	for _, size := range sizes {
-		ws := predict.NewWindowSet(observed, part.Split, size, opts.Rows)
+		ws := sets[size]
+		if ws == nil {
+			ws = predict.NewWindowSet(observed, part.Split, size, opts.Rows)
+			sets[size] = ws
+		}
 		n := len(ws.Windows())
 		for i := range rows {
 			if cap(rows[i]) < n {

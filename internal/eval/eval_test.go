@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/wikistale/wikistale/internal/changecube"
@@ -199,15 +200,23 @@ func TestEvaluateValidation(t *testing.T) {
 	}
 }
 
+// evaluateAtProcs runs Evaluate with GOMAXPROCS set to procs, which sizes
+// the goroutine budget of its parallel loops.
+func evaluateAtProcs(procs int, observed *changecube.HistorySet, split timeline.Span,
+	predictors []predict.Predictor, opts Options) (*Report, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return Evaluate(observed, split, predictors, opts)
+}
+
 func TestEvaluateParallelDeterministic(t *testing.T) {
 	hs, _, _ := twoFieldSet(t)
 	split := timeline.NewSpan(0, 50)
 	always := predict.Func{PredictorName: "always", Fn: func(predict.Batch, int) bool { return true }}
-	seq, err := Evaluate(hs, split, []predict.Predictor{always}, Options{Sizes: []int{1, 7}, Workers: 1})
+	seq, err := evaluateAtProcs(1, hs, split, []predict.Predictor{always}, Options{Sizes: []int{1, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Evaluate(hs, split, []predict.Predictor{always}, Options{Sizes: []int{1, 7}, Workers: 8})
+	par, err := evaluateAtProcs(8, hs, split, []predict.Predictor{always}, Options{Sizes: []int{1, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,10 @@ package predict
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/par"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
 
@@ -65,6 +64,11 @@ type RowIndex struct {
 	bySize   map[int]*rowSet
 }
 
+// rowGrain is how many fields a goroutine claims at a time when
+// precomputing rows; a row is two binary searches and a short merge, so
+// claims are batched to amortize the shared counter.
+const rowGrain = 256
+
 // PrecomputeRows eagerly computes the window rows of every field in
 // observed over the split's tumbling windows at each size. The work is
 // parallelized across fields; the result is read-only and safe for
@@ -85,26 +89,9 @@ func PrecomputeRows(observed *changecube.HistorySet, split timeline.Span, sizes 
 		}
 		rs := newRowSet(split, size)
 		rows := make([][]bool, len(histories))
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(histories) {
-			workers = len(histories)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * len(histories) / workers
-			hi := (w + 1) * len(histories) / workers
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					rows[i] = rs.computeRow(histories[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
+		par.For(len(histories), rowGrain, func() func(int) {
+			return func(i int) { rows[i] = rs.computeRow(histories[i]) }
+		})
 		for i, h := range histories {
 			rs.rows[h.Field] = rows[i]
 		}
